@@ -82,22 +82,19 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
         omega = orient(s)
     sd = s.dual()
 
-    overrides = {}
-    for x in s.maximal_cells():
-        overrides[x] = Orientation({f: omega.sign(f) for f in flags_of(s, x)})
+    overrides = {x: Orientation({f: omega.sign(f) for f in flags_of(s, x)})
+                 for x in s.maximal_cells()}
     signs = orient_all_cells(s, overrides=overrides)
 
     dual_orients = {}
     for x in s.cells:
-        below = flags_of(s, x)
-        gamma1 = below[0]
-        base = signs.orientations[x].sign(gamma1)
-        colors = {}
-        for gamma2 in flags_of(sd, x):
-            full = tuple(reversed(gamma2))[:-1] + gamma1
-            colors[gamma2] = omega.sign(full) * base
-        dual_orients[x] = Orientation(colors)
-    dual_signs = SignTable(sd, dual_orients, _derive_signs(sd, dual_orients))
+        gamma1 = flags_of(s, x)[0]
+        base = signs.color(gamma1)
+        dual_orients[x] = Orientation({
+            gamma2: omega.sign(tuple(reversed(gamma2))[:-1] + gamma1) * base
+            for gamma2 in flags_of(sd, x)})
+    vertex_signs = {v: dual_orients[v].sign((v,)) for v in sd.cells_of_rank(0)}
+    dual_signs = SignTable(sd, _derive_signs(sd, dual_orients), vertex_signs)
 
     out = DualOrientationSet(s, sd, omega, signs, dual_signs)
     out.check_sign_law()
@@ -108,8 +105,9 @@ class StarMap:
     """Relabel chains as dual chains: degree ``i`` goes to ``n - i``.
 
     The forward map sends a cell to its dual cell with the same
-    coefficient; it intertwines the boundary on the source with the
-    coboundary on the dual, which :meth:`intertwines` verifies entrywise.
+    coefficient; it is an involution, so it is also its own inverse.  It
+    intertwines the boundary on the source with the coboundary on the
+    dual, which :meth:`intertwines` verifies entrywise.
     """
 
     def __init__(self, orientations: DualOrientationSet):
@@ -119,9 +117,6 @@ class StarMap:
         self.target = chain_complex(orientations.dual_complex, orientations.dual_signs)
 
     def forward(self, chain: Chain) -> Chain:
-        return Chain(self.n - chain.degree, dict(chain.coeffs))
-
-    def inverse(self, chain: Chain) -> Chain:
         return Chain(self.n - chain.degree, dict(chain.coeffs))
 
     def intertwines(self) -> bool:

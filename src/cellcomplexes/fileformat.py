@@ -64,6 +64,9 @@ def loads(text: str) -> Ccc:
             raise FormatError(f"line {ln}: {e}") from None
         except CccError as e:
             raise FormatError(f"line {ln}: {e}") from None
+    for c, r in cell_ranks:  # a rank-r cell tops a chain of r + 1 cells
+        if r >= len(cell_ranks):
+            raise FormatError(f"cell {c} has rank {r} but only {len(cell_ranks)} cells")
     try:
         return build_complex(cell_ranks, covers)
     except CccError as e:

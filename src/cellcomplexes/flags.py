@@ -12,13 +12,19 @@ For an oriented cell ``x`` and an oriented face ``y`` the incidence sign
 of its truncation; connectivity of the face's flag graph makes the value
 independent of the chosen flag.  These signs are the entries of the
 boundary matrices built in :mod:`cellcomplexes.chains`.
+
+Conversely the color of a flag is the product of the signs along it
+times the sign of its vertex, so a :class:`SignTable` stores only signs
+and derives colorings.  Simplex-like cells take the removal rule:
+dropping the i-th largest member carries sign (-1)^i.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .cells import CellId
 from .complexes import Ccc, simplex_vertices
@@ -183,7 +189,8 @@ class Orientation:
         return isinstance(other, Orientation) and dict(self.colors) == dict(other.colors)
 
 
-def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> dict:
+def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> Orientation:
+    """The coloring rooted at the least flag, so that flag is colored +1."""
     colors, cycle, components = _two_color(graph)
     if cycle is not None:
         raise NotOrientableError(f"{what}: flag graph is not bipartite",
@@ -192,7 +199,7 @@ def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> dict:
         raise NotOrientableError(f"{what}: flag graph is disconnected "
                                  f"({components} components)",
                                  components=components, cell=cell)
-    return colors
+    return Orientation(colors)
 
 
 def orient(s: Ccc) -> Orientation:
@@ -204,31 +211,25 @@ def orient(s: Ccc) -> Orientation:
     graph = flag_graph(s)
     if not graph.flags:
         raise NotOrientableError("complex has no flags")
-    colors = _color_or_raise(graph, "complex")
-    least = graph.flags[0]
-    if colors[least] < 0:
-        colors = {f: -c for f, c in colors.items()}
-    return Orientation(colors)
+    return _color_or_raise(graph, "complex")
 
 
 def orient_cell(s: Ccc, x: CellId) -> Orientation:
-    graph = _closure_flag_graph(s, x)
-    colors = _color_or_raise(graph, f"cell {x}", cell=x)
-    least = graph.flags[0]
-    if colors[least] < 0:
-        colors = {f: -c for f, c in colors.items()}
-    return Orientation(colors)
+    return _color_or_raise(_closure_flag_graph(s, x), f"cell {x}", cell=x)
 
 
 class SignTable:
-    """Chosen per-cell orientations plus all derived incidence signs."""
+    """Incidence signs plus one sign per vertex (default +1); orientations
+    are derived from them."""
 
-    __slots__ = ("complex", "orientations", "signs")
+    __slots__ = ("complex", "signs", "vertex_signs")
 
-    def __init__(self, complex: Ccc, orientations: Mapping, signs: Mapping):
+    def __init__(self, complex: Ccc, signs: Mapping,
+                 vertex_signs: Mapping | None = None):
         self.complex = complex
-        self.orientations = dict(orientations)
         self.signs = dict(signs)
+        given = vertex_signs or {}
+        self.vertex_signs = {v: given.get(v, 1) for v in complex.cells_of_rank(0)}
 
     def s(self, x: CellId, y: CellId) -> int:
         try:
@@ -236,24 +237,51 @@ class SignTable:
         except KeyError:
             raise MissingSignError(f"no sign for the pair ({x}, {y})") from None
 
+    def color(self, flag: Flag) -> int:
+        """The signs along the flag times the sign of its vertex."""
+        c = self.vertex_signs[flag[-1]]
+        for x, y in zip(flag, flag[1:]):
+            c *= self.s(x, y)
+        return c
+
     def orientation(self, x: CellId) -> Orientation:
-        return self.orientations[x]
+        return Orientation({f: self.color(f) for f in flags_of(self.complex, x)})
+
+    @property
+    def orientations(self) -> Mapping:
+        """Every cell's orientation, derived when it is looked up."""
+        return _Orientations(self)
 
     def flipped(self, cells: Iterable[CellId]) -> "SignTable":
         """Reverse the orientation of the given cells; signs follow suit."""
         flip = set(cells)
         t = lambda c: -1 if c in flip else 1
-        orientations = {c: (o.flipped() if c in flip else o)
-                        for c, o in self.orientations.items()}
         signs = {(x, y): v * t(x) * t(y) for (x, y), v in self.signs.items()}
-        return SignTable(self.complex, orientations, signs)
+        vertex_signs = {v: e * t(v) for v, e in self.vertex_signs.items()}
+        return SignTable(self.complex, signs, vertex_signs)
 
     def restrict(self, sub: Ccc) -> "SignTable":
         """The table induced on a closed subcomplex."""
-        orientations = {c: self.orientations[c] for c in sub.cells}
-        signs = {(x, y): v for (x, y), v in self.signs.items()
-                 if x in sub and y in sub}
-        return SignTable(sub, orientations, signs)
+        signs = {(x, y): self.s(x, y) for x in sub.cells for y in sub.faces(x)}
+        return SignTable(sub, signs, self.vertex_signs)
+
+
+class _Orientations(Mapping):
+    """Read-only view of a table's orientations, each derived on lookup."""
+
+    def __init__(self, table: SignTable):
+        self._table = table
+
+    def __getitem__(self, x: CellId) -> Orientation:
+        if x not in self._table.complex:
+            raise KeyError(x)
+        return self._table.orientation(x)
+
+    def __iter__(self):
+        return iter(self._table.complex.cells)
+
+    def __len__(self):
+        return len(self._table.complex)
 
 
 def sign_from_flag(table_x: Orientation, table_y: Orientation, flag: Flag) -> int:
@@ -264,8 +292,6 @@ def sign_from_flag(table_x: Orientation, table_y: Orientation, flag: Flag) -> in
 def _derive_signs(s: Ccc, orientations: Mapping) -> dict:
     signs = {}
     for x in s.cells:
-        if s.rank(x) == 0:
-            continue
         for y in s.faces(x):
             tail = min(orientations[y].colors)
             signs[(x, y)] = sign_from_flag(orientations[x], orientations[y],
@@ -279,7 +305,8 @@ def orient_all_cells(s: Ccc, overrides: Mapping | None = None) -> SignTable:
     Each closure gets its canonical orientation (least flag +1, so every
     vertex flag is +1) unless ``overrides`` supplies one, as the duality
     pipeline does for maximal cells.  Fails with the witness cell if some
-    closure is not orientable or not flag-connected.
+    closure is not orientable or not flag-connected.  Only the induced
+    signs and the vertex colors are kept.
     """
     overrides = overrides or {}
     orientations = {}
@@ -290,53 +317,36 @@ def orient_all_cells(s: Ccc, overrides: Mapping | None = None) -> SignTable:
             orientations[x] = Orientation({(x,): 1})
         else:
             orientations[x] = orient_cell(s, x)
-    return SignTable(s, orientations, _derive_signs(s, orientations))
+    vertex_signs = {v: orientations[v].sign((v,)) for v in s.cells_of_rank(0)}
+    return SignTable(s, _derive_signs(s, orientations), vertex_signs)
 
 
 # -- simplicial orientations ---------------------------------------------
 
 
-def _permutation_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def permutation_orientation(s: Ccc, x: CellId, members_desc: Callable) -> Orientation:
-    """Orientation of a simplex-like cell from removal permutations.
+def permutation_orientation(s: Ccc, x: CellId, members_desc: Callable) -> dict:
+    """Face signs ``{(x, y): ±1}`` of a simplex-like cell by the removal rule.
 
     ``members_desc(cell)`` lists the cell's defining elements, largest
-    first.  Walking down a flag removes one element per step; the color of
-    the flag is the sign of the resulting permutation of positions.  Two
-    adjacent flags differ by a transposition, so this is an orientation,
-    and it makes dropping the i-th largest element carry sign (-1)^i.
+    first, and each face of ``x`` drops exactly one of them.  Dropping the
+    i-th largest carries sign (-1)^i.  These are the signs of the
+    orientation that colors a flag by the sign of the permutation of
+    positions it removes one step at a time.
     """
-    top = list(members_desc(x))
-    pos = {m: i for i, m in enumerate(top)}
-    colors = {}
-    for flag in flags_of(s, x):
-        perm = []
-        prev = set(top)
-        for cell in flag[1:]:
-            cur = set(members_desc(cell))
-            (dropped,) = prev - cur
-            perm.append(pos[dropped])
-            prev = cur
-        (last,) = prev
-        perm.append(pos[last])
-        colors[flag] = _permutation_sign(perm)
-    return Orientation(colors)
+    pos = {m: i for i, m in enumerate(members_desc(x))}
+    signs = {}
+    for y in s.faces(x):
+        (dropped,) = set(pos) - set(members_desc(y))
+        signs[(x, y)] = -1 if pos[dropped] % 2 else 1
+    return signs
 
 
 def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignTable:
     """Sign table for a complex built by ``from_simplicial``.
 
-    Vertices are ordered by ``vertex_order`` (default: token order); each
-    simplex is oriented by removal permutations, so the boundary of a
-    simplex alternates signs starting with +1 at the face that drops the
+    Vertices are ordered by ``vertex_order`` (default: token order) and
+    every vertex has sign +1; the removal rule makes the boundary of a
+    simplex alternate signs starting with +1 at the face that drops the
     largest vertex.
     """
     verts = {}
@@ -356,10 +366,7 @@ def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignT
         rank = {str(v): i for i, v in enumerate(vertex_order)}
         key = lambda v: rank[v]
     members = lambda c: sorted(verts[c], key=key, reverse=True)
-    orientations = {}
+    signs = {}
     for x in k.cells:
-        if k.rank(x) == 0:
-            orientations[x] = Orientation({(x,): 1})
-        else:
-            orientations[x] = permutation_orientation(k, x, members)
-    return SignTable(k, orientations, _derive_signs(k, orientations))
+        signs.update(permutation_orientation(k, x, members))
+    return SignTable(k, signs)

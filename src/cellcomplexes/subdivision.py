@@ -2,16 +2,19 @@
 
 Subdividing at a cell ``x`` removes every cell above ``x`` and cones the
 rest of the star off a new vertex: one cone ``C(x;y)`` per cell ``y`` of
-the star outside the up-set of ``x``, plus the vertex ``C(x;0)``.  Cone
-orientations are transported from the base cell, never recomputed, so the
-incidence signs of a cone satisfy ``s(C(x;y), y) = 1`` and
-``s(C(x;y), C(x;z)) = -s(y, z)``.
+the star outside the up-set of ``x``, plus the vertex ``C(x;0)`` of sign
++1.  Signs are written down by closed rules, never read off flags.  Old
+cells keep theirs; each cone is oriented like its base, which gives the
+cone rule ``s(C(x;y), y) = 1``, ``s(C(x;y), C(x;z)) = -s(y, z)`` and
+``s(C(x;v), C(x;0)) = -e(v)`` for a vertex ``v`` of sign ``e(v)``.
 
 The barycentric subdivision is the complex of non-empty chains; it equals
 the tower of stellar subdivisions at all cells in decreasing rank order,
 and both constructions here label a chain ``v0 < v1 < ... < vr`` by the
 same nested cone ``C(v1; C(v2; ... C(vr; v0)))`` (base ``0`` when the
 chain has no vertex), which realizes the comparison bijection directly.
+Its signs follow the removal rule: dropping the i-th largest member of a
+chain carries sign (-1)^i.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .cells import CellId, EMPTY
 from .chains import ChainComplex, HomologyResult, chain_complex, homology_of
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
-from .flags import Orientation, SignTable, flags_of, permutation_orientation, _derive_signs
+from .flags import SignTable, permutation_orientation
+# Unused here; kept because bench/tracing.py patches these names.
+from .flags import flags_of, _derive_signs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,8 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
     """Subdivide at ``x`` (rank >= 1) and transport orientations.
 
     Returns the :class:`StellarResult` and the sign table of the new
-    complex.  Old cells keep their orientations; the cone over ``y`` is
-    oriented by pulling each of its flags back to a flag of ``y``'s
-    closure with the parity of its cone prefix.
+    complex.  Old cells keep their signs and the cones get theirs by the
+    cone rule, so every cone is oriented like its base.
     """
     if x not in s:
         raise UnknownCellError(f"cell {x} is not in the complex")
@@ -118,11 +122,15 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
                              + [cone[EMPTY]])
     out = Ccc(ranks, strictly_below)
 
-    orientations = {z: signs.orientations[z] for z in old}
-    orientations[cone[EMPTY]] = Orientation({(cone[EMPTY],): 1})
-    for y in sorted(base_cells, key=lambda c: (s.rank(c), c._key)):
-        orientations[cone[y]] = _cone_orientation(out, cone[y], signs.orientations[y])
-    new_signs = SignTable(out, orientations, _derive_signs(out, orientations))
+    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
+    for y in base_cells:
+        c = cone[y]
+        table[(c, y)] = 1
+        for z in s.faces(y):
+            table[(c, cone[z])] = -signs.s(y, z)
+        if s.rank(y) == 0:
+            table[(c, cone[EMPTY])] = -signs.vertex_signs[y]
+    new_signs = SignTable(out, table, signs.vertex_signs)
 
     result = StellarResult(
         complex=out,
@@ -132,28 +140,6 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
         origin_cell=x,
     )
     return result, new_signs
-
-
-def _cone_orientation(sx: Ccc, cone_id: CellId, base_orientation: Orientation) -> Orientation:
-    """Flags of a cone start with a cone prefix and continue in the base's
-    closure; the color is the base flag's color times the prefix parity."""
-    colors = {}
-    for flag in flags_of(sx, cone_id):
-        prefix = 0
-        while prefix < len(flag) and flag[prefix].is_cone and \
-                flag[prefix].apex == cone_id.apex:
-            prefix += 1
-        tail = flag[prefix:]
-        bases = [c.base for c in flag[:prefix]]
-        if bases and bases[-1] is EMPTY:
-            bases = bases[:-1]
-            assert not tail
-        else:
-            assert tail and tail[0] == bases[-1]
-            tail = tail[1:]
-        pulled = tuple(bases) + tail
-        colors[flag] = (-1) ** (prefix - 1) * base_orientation.sign(pulled)
-    return Orientation(colors)
 
 
 def stellar_sequence(s: Ccc, points: Iterable[CellId], signs: SignTable):
@@ -241,10 +227,9 @@ def chain_of_cell(s: Ccc, cid: CellId):
 def barycentric(s: Ccc):
     """The complex of non-empty chains, with alternating-sign orientations.
 
-    Cells are chains ordered by inclusion, rank is length minus one, and
-    each chain is oriented through removal permutations taken from the
-    rank order of its members, so removing the i-th largest member of a
-    chain carries sign (-1)^i.
+    Cells are chains ordered by inclusion and rank is length minus one.
+    Members of a chain are ranked by their rank in ``s``, and removing the
+    i-th largest member carries sign (-1)^i.
     """
     chains_by_top: dict = {c: [] for c in s.cells}
     for c in s.cells:  # ascending rank order
@@ -269,13 +254,10 @@ def barycentric(s: Ccc):
 
     members = lambda cid: tuple(sorted(chain_of_cell(s, cid),
                                        key=lambda c: s.rank(c), reverse=True))
-    orientations = {}
+    signs = {}
     for c in out.cells:
-        if out.rank(c) == 0:
-            orientations[c] = Orientation({(c,): 1})
-        else:
-            orientations[c] = permutation_orientation(out, c, members)
-    return out, SignTable(out, orientations, _derive_signs(out, orientations))
+        signs.update(permutation_orientation(out, c, members))
+    return out, SignTable(out, signs)
 
 
 def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
@@ -290,9 +272,9 @@ def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
         for j, x in enumerate(src.bases[d]):
-            for flag in flags_of(s, x):
+            for flag, color in signs.orientation(x).colors.items():
                 lbl = cell_of_chain(s, tuple(reversed(flag)))
-                m[tgt.index[d][lbl], j] = signs.orientations[x].sign(flag)
+                m[tgt.index[d][lbl], j] = color
         mats.append(m)
     return ChainMap(src, tgt, mats)
 

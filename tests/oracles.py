@@ -5,7 +5,9 @@ path than the library: simplicial boundary matrices come straight from
 vertex sets with alternating signs and are reduced with sympy's Smith
 normal form; flag adjacency is rebuilt by comparing all pairs of maximal
 chains; the disjoint-points subdivision is assembled directly from its
-closed-form cell list and order rules.
+closed-form cell list and order rules; orientations are colorings of
+every flag, built flag by flag (removal permutations, cone pull-backs,
+dual splicing), and incidence signs are read off them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
-from cellcomplexes.complexes import Ccc
+from cellcomplexes.complexes import Ccc, simplex_vertices
+from cellcomplexes.flags import flags_of, orient_cell
+from cellcomplexes.subdivision import chain_of_cell
 
 
 # -- simplicial homology ----------------------------------------------------
@@ -138,3 +142,124 @@ def disjoint_stellar_description(x: Ccc, points) -> Ccc:
             below += [cone[(p, EMPTY)]]
             sb[cone[(p, v)]] = below
     return Ccc(ranks, sb)
+
+
+# -- flag colorings -----------------------------------------------------------
+# Each function returns per-cell colorings {cell: {flag: +1 / -1}}.
+
+
+def signs_from_colors(s: Ccc, colors) -> dict:
+    """s(x, y) = color of a flag through x and y times the color of its
+    truncation; every such flag must give the same value."""
+    signs = {}
+    for x in s.cells:
+        for y in s.faces(x):
+            vals = {c * colors[y][f[1:]] for f, c in colors[x].items() if f[1] == y}
+            assert len(vals) == 1, f"sign of ({x}, {y}) depends on the flag"
+            signs[(x, y)] = vals.pop()
+    return signs
+
+
+def permutation_sign(perm) -> int:
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
+def permutation_colors(s: Ccc, x: CellId, members_desc) -> dict:
+    """Color each flag below ``x`` by the sign of the permutation of
+    positions (in ``members_desc(x)``, largest first) that walking down
+    the flag removes, the last remaining member included."""
+    top = list(members_desc(x))
+    pos = {m: i for i, m in enumerate(top)}
+    colors = {}
+    for flag in flags_of(s, x):
+        perm = []
+        prev = set(top)
+        for cell in flag[1:]:
+            cur = set(members_desc(cell))
+            (dropped,) = prev - cur
+            perm.append(pos[dropped])
+            prev = cur
+        (last,) = prev
+        perm.append(pos[last])
+        colors[flag] = permutation_sign(perm)
+    return colors
+
+
+def simplicial_colors(k: Ccc, vertex_order=None) -> dict:
+    rank = None if vertex_order is None else {v: i for i, v in enumerate(vertex_order)}
+    key = (lambda v: v) if rank is None else (lambda v: rank[v])
+    members = lambda c: sorted(simplex_vertices(c), key=key, reverse=True)
+    return {x: permutation_colors(k, x, members) for x in k.cells}
+
+
+def barycentric_colors(s: Ccc, bary: Ccc) -> dict:
+    """Removal permutations over the members of each chain, ranked by
+    their rank in ``s``."""
+    members = lambda c: sorted(chain_of_cell(s, c), key=s.rank, reverse=True)
+    return {x: permutation_colors(bary, x, members) for x in bary.cells}
+
+
+def canonical_colors(s: Ccc, overrides=None) -> dict:
+    """The canonical flag 2-coloring of every closure, least flag +1,
+    unless ``overrides`` gives a cell's coloring."""
+    overrides = overrides or {}
+    colors = {}
+    for x in s.cells:
+        if x in overrides:
+            colors[x] = dict(overrides[x])
+        elif s.rank(x) == 0:
+            colors[x] = {(x,): 1}
+        else:
+            colors[x] = dict(orient_cell(s, x).colors)
+    return colors
+
+
+def flipped_colors(colors, cells) -> dict:
+    flip = set(cells)
+    return {x: ({f: -c for f, c in cs.items()} if x in flip else cs)
+            for x, cs in colors.items()}
+
+
+def cone_colors(sx: Ccc, cone_id: CellId, base_colors) -> dict:
+    """Flags of a cone start with a cone prefix and continue in the base's
+    closure; the color is the base flag's color times the prefix parity."""
+    colors = {}
+    for flag in flags_of(sx, cone_id):
+        prefix = 0
+        while prefix < len(flag) and flag[prefix].is_cone and \
+                flag[prefix].apex == cone_id.apex:
+            prefix += 1
+        tail = flag[prefix:]
+        bases = [c.base for c in flag[:prefix]]
+        if bases and bases[-1] is EMPTY:
+            bases = bases[:-1]
+            assert not tail
+        else:
+            assert tail and tail[0] == bases[-1]
+            tail = tail[1:]
+        pulled = tuple(bases) + tail
+        colors[flag] = (-1) ** (prefix - 1) * base_colors[pulled]
+    return colors
+
+
+def stellar_colors(colors, res) -> dict:
+    """Colorings after the stellar step ``res``: old cells keep theirs,
+    the new vertex is +1 and each cone pulls its flags back to its base."""
+    out = {z: colors[z] for z in res.old_cells}
+    for y, c in res.new_cells.items():
+        out[c] = {(c,): 1} if y is EMPTY else cone_colors(res.complex, c, colors[y])
+    return out
+
+
+def dual_colors(s: Ccc, sd: Ccc, omega, colors) -> dict:
+    """Color a flag above ``x`` by splicing it with the least flag below
+    ``x`` into a full flag and dividing the colors."""
+    out = {}
+    for x in s.cells:
+        gamma1 = flags_of(s, x)[0]
+        base = colors[x][gamma1]
+        out[x] = {gamma2: omega.sign(tuple(reversed(gamma2))[:-1] + gamma1) * base
+                  for gamma2 in flags_of(sd, x)}
+    return out

@@ -73,9 +73,8 @@ def test_boundary_squares_to_zero(name):
 
 
 def test_missing_sign_reported(torus9, torus9_signs):
-    gappy = SignTable(torus9, torus9_signs.orientations,
-                      {k: v for k, v in torus9_signs.signs.items()
-                       if k != (C("f00"), C("h00"))})
+    gappy = SignTable(torus9, {k: v for k, v in torus9_signs.signs.items()
+                               if k != (C("f00"), C("h00"))})
     with pytest.raises(MissingSignError):
         chain_complex(torus9, gappy)
 

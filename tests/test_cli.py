@@ -110,6 +110,13 @@ def test_validate_parse_error(tmp_path):
     assert code == 2
 
 
+def test_rank_beyond_cell_count_rejected_at_load(tmp_path):
+    p = tmp_path / "tall.ccc"
+    p.write_text("ccc v1\ncell b 30000000\n")
+    code, _ = run_cli(["validate", str(p)])
+    assert code == 2
+
+
 def test_info_empty_complex(tmp_path):
     p = tmp_path / "empty.ccc"
     p.write_text("ccc v1\n")

@@ -63,6 +63,7 @@ def test_order_insensitive_and_comments():
     "ccc v1\ncells a 0\n",
     "ccc v1\ncell a 0\ncover a b\n",
     "ccc v1\ncell a 0\ncell a 0\n",
+    "ccc v1\ncell b 30000000\n",
 ])
 def test_parse_errors(bad):
     with pytest.raises(FormatError):
