@@ -11,10 +11,10 @@ import numpy as np
 
 from cellcomplexes import (
     Chain,
+    StarMap,
     dual_orientations,
     homology_pairing_matrix,
     pairing,
-    star_map,
     stokes_check,
     verify_duality,
 )
@@ -36,7 +36,7 @@ print("dual of the torus:", tuple(len(d.cells_of_rank(r)) for r in range(3)),
 dos = dual_orientations(t)
 print("sign law checked on", dos.check_sign_law(), "incidence pairs")
 print("star map intertwines boundary with dual coboundary:",
-      star_map(t, dos).intertwines())
+      StarMap(dos).intertwines())
 
 print("\nfull duality report for the torus:")
 print(verify_duality(t))

@@ -43,7 +43,6 @@ from .duality import (
     dual_orientations,
     homology_pairing_matrix,
     pairing,
-    star_map,
     stokes_check,
     verify_duality,
 )

@@ -46,7 +46,7 @@ class CellId:
 
     def __init__(self, *, name=None, apex=None, base=None):
         if name is not None:
-            if not name or name == "0" or any(c in _BAD_NAME_CHARS for c in name):
+            if not name or name == "0" or not _BAD_NAME_CHARS.isdisjoint(name):
                 raise FormatError(f"invalid cell name {name!r}")
             key = ("b", name)
         else:
@@ -97,7 +97,20 @@ class CellId:
     def __str__(self):
         if self.name is not None:
             return self.name
-        return f"C({self.apex};{self.base})"
+        parts = []
+        todo = [self]  # labels and separators still to print, last one first
+        while todo:
+            c = todo.pop()
+            if c.__class__ is str:
+                parts.append(c)
+            elif c is EMPTY:
+                parts.append("0")
+            elif c.name is not None:
+                parts.append(c.name)
+            else:
+                parts.append("C(")
+                todo += (")", c.base, ";", c.apex)
+        return "".join(parts)
 
     def __repr__(self):
         return str(self)
@@ -114,22 +127,30 @@ def parse_cell_id(token: str) -> CellId:
 
 
 def _parse_id(s: str, pos: int):
-    if s.startswith("C(", pos):
-        apex, pos = _parse_id(s, pos + 2)
-        if apex is EMPTY:
+    """The label starting at ``pos`` and the position after it.  Iterative,
+    for any depth: one entry per open cone, None until its apex is read."""
+    apexes = []
+    while True:
+        while s.startswith("C(", pos):
+            apexes.append(None)
+            pos += 2
+        end = pos
+        while end < len(s) and s[end] not in ";)":
+            end += 1
+        tok, pos = s[pos:end], end
+        if not tok:
+            raise FormatError(f"empty token in cell id {s!r}")
+        cur = EMPTY if tok == "0" else CellId.of(tok)
+        while apexes and apexes[-1] is not None:  # cur is a base: close its cone
+            if not s.startswith(")", pos):
+                raise FormatError(f"expected ')' in cone id {s!r}")
+            cur = CellId.cone(apexes.pop(), cur)
+            pos += 1
+        if not apexes:
+            return cur, pos
+        if cur is EMPTY:  # cur is an apex
             raise FormatError(f"cone apex may not be empty in {s!r}")
-        if pos >= len(s) or s[pos] != ";":
+        if not s.startswith(";", pos):
             raise FormatError(f"expected ';' in cone id {s!r}")
-        base, pos = _parse_id(s, pos + 1)
-        if pos >= len(s) or s[pos] != ")":
-            raise FormatError(f"expected ')' in cone id {s!r}")
-        return CellId.cone(apex, base), pos + 1
-    end = pos
-    while end < len(s) and s[end] not in ";)":
-        end += 1
-    tok = s[pos:end]
-    if tok == "0":
-        return EMPTY, end
-    if not tok:
-        raise FormatError(f"empty token in cell id {s!r}")
-    return CellId.of(tok), end
+        apexes[-1] = cur
+        pos += 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cells import CellId
 from .complexes import Ccc
-from .errors import EmptyComplexError, MissingSignError, UnknownCellError
+from .errors import EmptyComplexError, UnknownCellError
 from .flags import SignTable
 from .snf import invariant_factors, kernel_basis, matmul, smith_normal_form, solve_columns
 
@@ -86,10 +86,8 @@ class ChainComplex:
         self.mats = mats
 
     def boundary_matrix(self, i: int) -> np.ndarray:
-        if 1 <= i <= self.dim:
+        if 0 <= i <= self.dim:
             return self.mats[i]
-        if i == 0:
-            return self.mats[0]
         lower = len(self.bases[i - 1]) if 0 <= i - 1 <= self.dim else 0
         upper = len(self.bases[i]) if 0 <= i <= self.dim else 0
         return np.zeros((lower, upper), dtype=np.int64)
@@ -116,31 +114,30 @@ class ChainComplex:
 
 
 def chain_complex(s: Ccc, signs: SignTable, augmented: bool = False) -> ChainComplex:
-    for x in s.cells:
-        if s.rank(x) == 0:
-            continue
-        for y in s.faces(x):
-            if (x, y) not in signs.signs:
-                raise MissingSignError(f"sign table lacks the pair ({x}, {y})")
+    """Raises MissingSignError when ``signs`` lacks an incidence pair."""
     return ChainComplex(s, signs, augmented)
+
+
+def _image(m: np.ndarray, cc: ChainComplex, c: Chain, degree: int) -> Chain:
+    """The chain of ``degree`` that ``m`` sends ``c`` to, read off the
+    columns in the chain's support."""
+    cols = [cc.index[c.degree][x] for x in c.coeffs]
+    vec = m[:, cols].astype(object) @ np.array(list(c.coeffs.values()), dtype=object)
+    return cc.from_vector(vec, degree)
 
 
 def boundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of faces, extended linearly; zero on minimal cells."""
-    out: dict = {}
-    for x, coeff in c.coeffs.items():
-        for y in cc.complex.faces(x):
-            out[y] = out.get(y, 0) + coeff * cc.signs.s(x, y)
-    return Chain(c.degree - 1, out)
+    if c.degree <= 0:  # also on an augmented complex
+        return Chain(c.degree - 1)
+    return _image(cc.boundary_matrix(c.degree), cc, c, c.degree - 1)
 
 
 def coboundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of cofaces; zero on maximal cells."""
-    out: dict = {}
-    for x, coeff in c.coeffs.items():
-        for z in cc.complex.cofaces(x):
-            out[z] = out.get(z, 0) + coeff * cc.signs.s(z, x)
-    return Chain(c.degree + 1, out)
+    if c.degree >= cc.dim:
+        return Chain(c.degree + 1)
+    return _image(cc.boundary_matrix(c.degree + 1).T, cc, c, c.degree + 1)
 
 
 @dataclass(frozen=True)
@@ -236,17 +233,17 @@ def relative_homology(s: Ccc, t: Iterable[CellId], signs: SignTable) -> Homology
             raise UnknownCellError(f"cell {c} is not in the complex")
     if s.closure(tset) != tset:
         raise ValueError("relative homology needs a closed subcomplex")
-    cc = chain_complex(s, signs)
-    keep = [[c for c in cc.bases[r] if c not in tset] for r in range(s.dim + 1)]
-    sizes = [len(k) for k in keep]
-    mats = [np.zeros((0, sizes[0]), dtype=np.int64)]
-    for r in range(1, s.dim + 1):
-        rows = [cc.index[r - 1][c] for c in keep[r - 1]]
-        cols = [cc.index[r][c] for c in keep[r]]
-        m = cc.boundary_matrix(r)
-        mats.append(m[np.ix_(rows, cols)] if rows and cols
-                    else np.zeros((len(rows), len(cols)), dtype=np.int64))
-    return _homology_from_matrices(sizes, mats)
+    return _homology_of_cells(chain_complex(s, signs), set(s.cells) - tset)
+
+
+def _homology_of_cells(cc: ChainComplex, cells) -> HomologyResult:
+    """Homology of the boundary matrices restricted to the rows and
+    columns of ``cells``: of the quotient by the other cells when those
+    are closed, of the subcomplex on ``cells`` when it is closed."""
+    keep = [[i for i, c in enumerate(b) if c in cells] for b in cc.bases]
+    mats = [np.zeros((0, len(keep[0])), dtype=np.int64)]
+    mats += [cc.mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, cc.dim + 1)]
+    return _homology_from_matrices([len(k) for k in keep], mats)
 
 
 def is_acyclic(s: Ccc, signs: SignTable) -> bool:

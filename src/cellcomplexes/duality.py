@@ -20,6 +20,7 @@ import numpy as np
 
 from .chains import (
     Chain,
+    _homology_of_cells,
     boundary,
     chain_complex,
     coboundary,
@@ -120,21 +121,16 @@ class StarMap:
         return Chain(self.n - chain.degree, dict(chain.coeffs))
 
     def intertwines(self) -> bool:
-        for i in range(1, self.n + 1):
-            d = self.source.boundary_matrix(i)
-            dd = self.target.boundary_matrix(self.n - i + 1)
-            # bases in matching degrees list the same cells in the same order
-            if self.source.bases[i] != self.target.bases[self.n - i]:
-                return False
-            if d.shape != dd.T.shape or not np.array_equal(d, dd.T):
-                return False
-        return True
+        return all(self._mismatches(i) == 0 for i in range(self.n))
 
-
-def star_map(s: Ccc, orientations: DualOrientationSet) -> StarMap:
-    if orientations.complex is not s and orientations.complex != s:
-        raise ValueError("orientation set belongs to a different complex")
-    return StarMap(orientations)
+    def _mismatches(self, i: int) -> int:
+        """Entries where D_{i+1} of the source differs from the transpose
+        of D_{n-i} of the target, rows and columns matched by cell."""
+        src, tgt, n = self.source, self.target, self.n
+        rows = [tgt.index[n - i][c] for c in src.bases[i]]
+        cols = [tgt.index[n - i - 1][c] for c in src.bases[i + 1]]
+        dual = tgt.boundary_matrix(n - i)[np.ix_(cols, rows)].T
+        return int(np.count_nonzero(src.boundary_matrix(i + 1) != dual))
 
 
 @dataclass
@@ -204,33 +200,29 @@ def verify_duality(s: Ccc) -> DualityReport:
         report.certificate = e.odd_cycle if e.odd_cycle else e.components
         return report
     sd = dos.dual_complex
+    star = StarMap(dos)
+    cc, cd = star.source, star.target
 
-    for name, cx in (("complex", s), ("dual", sd)):
-        bad = None
-        for x in cx.cells:
-            _, _, components = _two_color(_closure_flag_graph(cx, x))
-            if components != 1:
-                bad = x
-                break
+    # orient_all_cells has already raised for any other closure of S that
+    # is not flag-connected; the maximal cells took the global colouring
+    for name, cx, cells in (("complex", s, s.maximal_cells()), ("dual", sd, sd.cells)):
+        bad = next((x for x in cells
+                    if _two_color(_closure_flag_graph(cx, x))[2] != 1), None)
         report.hypotheses.append((f"cells of the {name} flag-connected",
                                   bad is None,
                                   "" if bad is None else f"cell {bad}"))
 
-    for name, cx, table in (("complex", s, dos.signs), ("dual", sd, dos.dual_signs)):
-        bad = None
-        for x in cx.cells:
-            sub = cx.closure_complex(x)
-            if not homology_of(chain_complex(sub, table.restrict(sub))).is_acyclic:
-                bad = x
-                break
+    for name, cx, chains in (("complex", s, cc), ("dual", sd, cd)):
+        bad = next((x for x in cx.cells
+                    if not _homology_of_cells(chains, cx.closure([x])).is_acyclic), None)
         report.hypotheses.append((f"cells of the {name} acyclic", bad is None,
                                   "" if bad is None else f"cell {bad}"))
     if not report.hypotheses_ok:
         return report
 
-    h_s = homology_of(chain_complex(s, dos.signs))
-    h_sd = homology_of(chain_complex(sd, dos.dual_signs))
-    coh_s = cohomology_of(chain_complex(s, dos.signs))
+    h_s = homology_of(cc)
+    h_sd = homology_of(cd)
+    coh_s = cohomology_of(cc)
 
     bs, bs_signs = barycentric(s)
     bsd, bsd_signs = barycentric(sd)
@@ -249,8 +241,7 @@ def verify_duality(s: Ccc) -> DualityReport:
     report.checks.append(("subdivisions of complex and dual coincide",
                           chains_s == chains_sd))
     report.checks.append(("subdivided homologies equal", h_bs == h_bsd))
-    report.checks.append(("star map intertwines boundaries",
-                          StarMap(dos).intertwines()))
+    report.checks.append(("star map intertwines boundaries", star.intertwines()))
 
     dos_rev = dual_orientations(sd, reversed_orientation(s, omega))
     report.checks.append(("dual star map intertwines boundaries",
@@ -295,11 +286,9 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
     """Exercise the boundary-adjunction identity on every complementary
     basis pair and on random integer chains, plus the integral form
     against cochains."""
-    dos = dual_orientations(s)
-    cc = chain_complex(s, dos.signs)
-    cd = chain_complex(dos.dual_complex, dos.dual_signs)
+    star = StarMap(dual_orientations(s))
+    cc, cd = star.source, star.target
     n = s.dim
-    adjoint_bad = 0
     identity_ok = True
 
     for i in range(n + 1):
@@ -309,16 +298,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
                                                    Chain(n - i, {z: 1})):
                     identity_ok = False
 
-    for i in range(n):
-        # sigma of degree i+1 over the complex, tau of degree n-i over the dual
-        for x in cc.bases[i + 1]:
-            sigma = Chain(i + 1, {x: 1})
-            for z in cd.bases[n - i]:
-                tau = Chain(n - i, {z: 1})
-                lhs = pairing(s, boundary(sigma, cc), tau)
-                rhs = pairing(s, sigma, boundary(tau, cd))
-                if lhs != rhs:
-                    adjoint_bad += 1
+    # one entry per basis pair: <boundary x, z> against <x, dual boundary z>
+    adjoint_bad = sum(star._mismatches(i) for i in range(n))
 
     rng = random.Random(seed)
     stokes_bad = 0
@@ -349,9 +330,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
 def homology_pairing_matrix(s: Ccc, i: int):
     """Pairing of degree-``i`` homology generators with complementary dual
     generators, as an integer matrix on the chosen bases."""
-    dos = dual_orientations(s)
-    cc = chain_complex(s, dos.signs)
-    cd = chain_complex(dos.dual_complex, dos.dual_signs)
+    star = StarMap(dual_orientations(s))
+    cc, cd = star.source, star.target
     gens = free_cycle_generators(cc, i)
     dual_gens = free_cycle_generators(cd, s.dim - i)
     mat = np.zeros((len(gens), len(dual_gens)), dtype=np.int64)

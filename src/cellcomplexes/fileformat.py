@@ -32,13 +32,13 @@ def dump(s: Ccc, fp: IO[str]) -> None:
 
 
 def covering_pairs(s: Ccc):
-    """Pairs y < x with nothing strictly between, in canonical order."""
+    """Pairs y < x with nothing strictly between, in canonical order: y is
+    in the closure of x but in no closure of another cell below x."""
     out = []
     for x in s.cells:
         strict = s.closure([x]) - {x}
-        for y in sorted(strict, key=lambda c: c._key):
-            if not any(s.lt(y, z) for z in strict):
-                out.append((y, x))
+        below = set().union(*(s.closure([z]) - {z} for z in strict))
+        out += ((y, x) for y in sorted(strict - below, key=lambda c: c._key))
     return out
 
 

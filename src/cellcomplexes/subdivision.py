@@ -158,15 +158,16 @@ def stellar_sequence(s: Ccc, points: Iterable[CellId], signs: SignTable):
 def phi(s: Ccc, x: CellId, signs: SignTable) -> ChainMap:
     """The subdivision chain map: identity off the up-set of ``x``, cone
     expansion on it."""
+    return _stellar_map(chain_complex(s, signs), x)
+
+
+def _stellar_map(src: ChainComplex, x: CellId) -> ChainMap:
+    """:func:`phi` out of an existing chain complex; the target is the
+    chain complex of the subdivision."""
+    s, signs = src.complex, src.signs
     res, new_signs = stellar(s, x, signs)
-    src = chain_complex(s, signs)
     tgt = chain_complex(res.complex, new_signs)
-    return ChainMap(src, tgt, _phi_matrices(s, signs, res, src, tgt))
-
-
-def _phi_matrices(s: Ccc, signs: SignTable, res: StellarResult,
-                  src: ChainComplex, tgt: ChainComplex):
-    up = s.up_set(res.origin_cell)
+    up = s.up_set(x)
     mats = []
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
@@ -179,7 +180,7 @@ def _phi_matrices(s: Ccc, signs: SignTable, res: StellarResult,
                         continue
                     m[tgt.index[d][res.new_cells[y]], j] = signs.s(w, y)
         mats.append(m)
-    return mats
+    return ChainMap(src, tgt, mats)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -307,11 +308,12 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
     The final complex carries the chain labels of the barycentric
     subdivision, and :func:`compare_phi_bigphi` checks that it equals it.
     """
-    cur, cur_signs = s, signs
-    total = identity_chain_map(chain_complex(s, signs))
+    cc = chain_complex(s, signs)
+    total = identity_chain_map(cc)
     stages = []
     for r in range(s.dim, 0, -1):
         points = list(s.cells_of_rank(r))
+        cur = cc.complex
         for t in points:
             if t not in cur:
                 raise CccError(f"subdivision point {t} died before its stage")
@@ -321,19 +323,16 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
                     f"up-sets of {a} and {b} intersect before stage {r}")
         stage_map = None
         for t in points:
-            src = chain_complex(cur, cur_signs)
-            res, nxt_signs = stellar(cur, t, cur_signs)
-            tgt = chain_complex(res.complex, nxt_signs)
-            step = ChainMap(src, tgt, _phi_matrices(cur, cur_signs, res, src, tgt))
+            step = _stellar_map(cc, t)  # its target is the next step's source
             stage_map = step if stage_map is None else stage_map.then(step)
-            cur, cur_signs = res.complex, nxt_signs
-        stages.append(TowerStage(rank=r, points=tuple(points), complex=cur,
-                                 signs=cur_signs, step_map=stage_map))
+            cc = step.target
+        stages.append(TowerStage(rank=r, points=tuple(points), complex=cc.complex,
+                                 signs=cc.signs, step_map=stage_map))
         if stage_map is not None:
             total = total.then(stage_map)
-    iso = {c: chain_of_cell(s, c) for c in cur.cells}
-    return BaryTower(source=s, stages=stages, final=cur,
-                     final_signs=cur_signs, phi_total=total, iso=iso)
+    iso = {c: chain_of_cell(s, c) for c in cc.complex.cells}
+    return BaryTower(source=s, stages=stages, final=cc.complex,
+                     final_signs=cc.signs, phi_total=total, iso=iso)
 
 
 def compare_phi_bigphi(s: Ccc, signs: SignTable):

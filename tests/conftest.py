@@ -42,3 +42,24 @@ def mobius3():
 @pytest.fixture(scope="session")
 def two_triangles():
     return fixtures.two_triangles()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls((module, name), ...)`` wraps each named function for
+    the test and returns the list that every call through those names
+    appends to."""
+    calls = []
+
+    def wrap(original, name):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    def install(*targets):
+        for module, name in targets:
+            monkeypatch.setattr(module, name, wrap(getattr(module, name), name))
+        return calls
+
+    return install

@@ -7,7 +7,9 @@ normal form; flag adjacency is rebuilt by comparing all pairs of maximal
 chains; the disjoint-points subdivision is assembled directly from its
 closed-form cell list and order rules; orientations are colorings of
 every flag, built flag by flag (removal permutations, cone pull-backs,
-dual splicing), and incidence signs are read off them.
+dual splicing), and incidence signs are read off them; chain boundaries
+walk faces and cofaces through the sign table instead of reading the
+boundary matrices, and the boundary adjunction is checked pair by pair.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
+from cellcomplexes.chains import Chain
 from cellcomplexes.complexes import Ccc, simplex_vertices
 from cellcomplexes.flags import flags_of, orient_cell
 from cellcomplexes.subdivision import chain_of_cell
@@ -263,3 +266,38 @@ def dual_colors(s: Ccc, sd: Ccc, omega, colors) -> dict:
         out[x] = {gamma2: omega.sign(tuple(reversed(gamma2))[:-1] + gamma1) * base
                   for gamma2 in flags_of(sd, x)}
     return out
+
+
+# -- chain boundaries ----------------------------------------------------------
+
+
+def face_walk_boundary(c: Chain, cc) -> Chain:
+    """Signed sum of faces through the sign table, extended linearly."""
+    out: dict = {}
+    for x, coeff in c.coeffs.items():
+        for y in cc.complex.faces(x):
+            out[y] = out.get(y, 0) + coeff * cc.signs.s(x, y)
+    return Chain(c.degree - 1, out)
+
+
+def coface_walk_coboundary(c: Chain, cc) -> Chain:
+    out: dict = {}
+    for x, coeff in c.coeffs.items():
+        for z in cc.complex.cofaces(x):
+            out[z] = out.get(z, 0) + coeff * cc.signs.s(z, x)
+    return Chain(c.degree + 1, out)
+
+
+def basis_adjoint_residuals(cc, cd) -> int:
+    """Basis pairs (x of degree i+1, dual z of degree n-i) where the
+    boundary of x counts z differently from how the dual boundary of z
+    counts x."""
+    n = cc.dim
+    bad = 0
+    for i in range(n):
+        for x in cc.bases[i + 1]:
+            dx = face_walk_boundary(Chain(i + 1, {x: 1}), cc).coeffs
+            for z in cd.bases[n - i]:
+                dz = face_walk_boundary(Chain(n - i, {z: 1}), cd).coeffs
+                bad += dx.get(z, 0) != dz.get(x, 0)
+    return bad

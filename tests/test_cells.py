@@ -44,6 +44,20 @@ def test_rejects_malformed(bad):
         parse_cell_id(bad)
 
 
+@pytest.mark.parametrize("side", ["base", "apex"])
+def test_deep_labels_round_trip(side):
+    # repeated stellar subdivision nests cone labels far past the recursion limit
+    a, b = CellId.of("a"), CellId.of("b")
+    cid = a
+    for i in range(900):
+        other = b if i % 2 else EMPTY
+        cid = CellId.cone(b, cid) if side == "base" else CellId.cone(cid, other)
+    text = str(cid)
+    assert text.count("C(") == 900
+    again = parse_cell_id(text)
+    assert str(again) == text and again == cid
+
+
 def test_names_reject_reserved_characters():
     for bad in ["", "0", "with space", "pa(ren", "semi;colon", "ha#sh"]:
         with pytest.raises(FormatError):

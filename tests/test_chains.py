@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import simplicial_homology
+from oracles import coface_walk_coboundary, face_walk_boundary, simplicial_homology
 
 from cellcomplexes import fixtures
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import (
     Chain,
+    _homology_of_cells,
     boundary,
     chain_complex,
     coboundary,
@@ -97,6 +98,27 @@ def test_boundary_twice_on_squares(torus9, torus9_signs):
 def test_coboundary_of_top_cell_is_zero(torus9, torus9_signs):
     cc = chain_complex(torus9, torus9_signs)
     assert coboundary(Chain(2, {C("f00"): 1}), cc).is_zero()
+
+
+def test_boundary_edges_on_augmented_complex(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs, augmented=True)
+    assert cc.boundary_matrix(0).any()  # the augmentation row
+    assert boundary(Chain(0, {C("v00"): 1}), cc) == Chain(-1)
+    assert coboundary(Chain(2, {C("f00"): 1}), cc) == Chain(3)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("name", sorted(set(fixtures.FIXTURES) - {"bad_axiom4"}))
+def test_boundary_agrees_with_face_walk(name, augmented):
+    s = fixtures.fixture(name)
+    cc = chain_complex(s, orient_all_cells(s), augmented=augmented)
+    for r in range(s.dim + 1):
+        chains = [Chain(r, {x: -2}) for x in cc.bases[r]]
+        chains.append(Chain(r, {x: i % 5 - 2 for i, x in enumerate(cc.bases[r])}))
+        chains.append(Chain(r))
+        for c in chains:
+            assert boundary(c, cc) == face_walk_boundary(c, cc)
+            assert coboundary(c, cc) == coface_walk_coboundary(c, cc)
 
 
 def test_chain_arithmetic():
@@ -192,6 +214,21 @@ def test_cell_closures_acyclic(torus9, torus9_signs):
     for x in torus9.cells:
         sub = torus9.closure_complex(x)
         assert is_acyclic(sub, torus9_signs.restrict(sub))
+
+
+@pytest.mark.parametrize("name", ["torus9", "tetrahedron_solid", "mobius3",
+                                  "square_pentagon", "projective_plane"])
+def test_closure_slices_match_closure_complexes(name):
+    s = fixtures.fixture(name)
+    signs = orient_all_cells(s)
+    cc = chain_complex(s, signs)
+    for x in s.cells:
+        sub = s.closure_complex(x)
+        want = homology_of(chain_complex(sub, signs.restrict(sub)))
+        got = _homology_of_cells(cc, s.closure([x]))
+        k = len(want.betti)  # the slice reports every degree of s
+        assert got.betti[:k] == want.betti and got.torsion[:k] == want.torsion
+        assert not any(got.betti[k:]) and not any(got.torsion[k:])
 
 
 def test_sphere_not_acyclic(tetra_boundary, tetra_boundary_signs):

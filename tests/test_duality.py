@@ -2,19 +2,24 @@ import random
 
 import pytest
 
+from oracles import basis_adjoint_residuals
+
+from cellcomplexes import duality, fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import Chain, boundary, chain_complex, free_cycle_generators
+from cellcomplexes.complexes import build_complex
 from cellcomplexes.duality import (
+    DualOrientationSet,
+    StarMap,
     dual_orientations,
     homology_pairing_matrix,
     pairing,
     reversed_orientation,
-    star_map,
     stokes_check,
     verify_duality,
 )
 from cellcomplexes.errors import NotManifoldLikeError
-from cellcomplexes.flags import flag_graph, flags_of, orient
+from cellcomplexes.flags import SignTable, flag_graph, flags_of, orient
 
 C = CellId.of
 
@@ -84,13 +89,13 @@ def test_reversed_orientation_is_valid(torus9):
 
 
 def test_star_map_involution_on_basis(torus9, torus_dos):
-    sm = star_map(torus9, torus_dos)
+    sm = StarMap(torus_dos)
     sigma = Chain(1, {C("h00"): 1})
     assert sm.forward(sm.forward(sigma)) == sigma
 
 
 def test_star_map_degree_bookkeeping(torus9, torus_dos):
-    sm = star_map(torus9, torus_dos)
+    sm = StarMap(torus_dos)
     assert sm.forward(Chain(0, {C("v00"): 1})).degree == 2
     assert sm.forward(Chain(2, {C("f00"): 1})).degree == 0
     for x in torus9.cells:
@@ -98,7 +103,7 @@ def test_star_map_degree_bookkeeping(torus9, torus_dos):
 
 
 def test_star_map_intertwines(torus9, torus_dos):
-    sm = star_map(torus9, torus_dos)
+    sm = StarMap(torus_dos)
     assert sm.intertwines()
     # expanded on one square: star of the boundary equals the dual coboundary
     cc, cd = sm.source, sm.target
@@ -109,7 +114,96 @@ def test_star_map_intertwines(torus9, torus_dos):
     assert lhs == rhs
 
 
+def test_star_map_mismatches_count_differing_entries(torus9, torus_dos):
+    # flip two dual signs, in different degrees: each spoils one entry
+    flip = {(C("v00"), C("h00")), (C("e00"), C("f00"))}
+    dual = torus_dos.dual_signs
+    spoiled = SignTable(dual.complex,
+                        {k: -v if k in flip else v for k, v in dual.signs.items()},
+                        dual.vertex_signs)
+    for dos, want in ((torus_dos, 0),
+                      (DualOrientationSet(torus9, torus_dos.dual_complex,
+                                          torus_dos.global_orientation,
+                                          torus_dos.signs, spoiled), 2)):
+        sm = StarMap(dos)
+        got = sum(sm._mismatches(i) for i in range(sm.n))
+        assert got == basis_adjoint_residuals(sm.source, sm.target) == want
+        assert sm.intertwines() is (want == 0)
+
+
 # -- the duality pipeline ----------------------------------------------------------
+
+
+def annulus_complex():
+    """A closed surface of three 2-cells: the cell A is an annulus, whose
+    two boundary circles the quadrilaterals D and E join."""
+    edges = {"p1": "a1 a2", "p2": "a1 a2", "q1": "b1 b2", "q2": "b1 b2",
+             "r1": "a2 b1", "r2": "b2 a1"}
+    faces = {"A": "p1 p2 q1 q2", "D": "p1 r1 q1 r2", "E": "p2 r1 q2 r2"}
+    cells = [(C(v), 0) for v in ("a1", "a2", "b1", "b2")]
+    cells += [(C(e), 1) for e in edges] + [(C(f), 2) for f in faces]
+    covers = [(C(v), C(e)) for e, vs in edges.items() for v in vs.split()]
+    covers += [(C(e), C(f)) for f, es in faces.items() for e in es.split()]
+    return build_complex(cells, covers)
+
+
+_ALL_HOLD = [("orientable", True, ""), ("manifold-like", True, ""),
+             ("cells of the complex flag-connected", True, ""),
+             ("cells of the dual flag-connected", True, ""),
+             ("cells of the complex acyclic", True, ""),
+             ("cells of the dual acyclic", True, "")]
+_NOT_BIPARTITE = ("orientable", False, "complex: flag graph is not bipartite")
+_TWO_COMPONENTS = ("orientable", False, "complex: flag graph is disconnected (2 components)")
+_NOT_MANIFOLD = ("manifold-like", False, "")
+HYPOTHESES = {
+    "bad_axiom4": [_NOT_BIPARTITE, _NOT_MANIFOLD],
+    "disjoint_edges": [_TWO_COMPONENTS, _NOT_MANIFOLD],
+    "disjoint_triangles": [_TWO_COMPONENTS, _NOT_MANIFOLD],
+    "edge": [("orientable", True, ""), _NOT_MANIFOLD],
+    "mobius3": [_NOT_BIPARTITE, _NOT_MANIFOLD],
+    "point": _ALL_HOLD,
+    "projective_plane": [_NOT_BIPARTITE, ("manifold-like", True, "")],
+    "square": [("orientable", True, ""), _NOT_MANIFOLD],
+    "square_pentagon": [("orientable", True, ""), _NOT_MANIFOLD],
+    "tetrahedron_boundary": _ALL_HOLD,
+    "tetrahedron_solid": [("orientable", True, ""), _NOT_MANIFOLD],
+    "torus9": _ALL_HOLD,
+    "two_triangles": [("orientable", True, ""), _NOT_MANIFOLD],
+    "annulus": [("orientable", True, ""), ("manifold-like", True, ""),
+                ("cells of the complex flag-connected", False, "cell A"),
+                ("cells of the dual flag-connected", True, ""),
+                ("cells of the complex acyclic", False, "cell A"),
+                ("cells of the dual acyclic", True, "")],
+    "annulus dual": [("orientable", True, ""), ("manifold-like", True, ""),
+                     ("cells of the complex flag-connected", True, ""),
+                     ("cells of the dual flag-connected", False, "cell A"),
+                     ("cells of the complex acyclic", True, ""),
+                     ("cells of the dual acyclic", False, "cell A")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESES))
+def test_duality_hypothesis_rows(name):
+    if name == "annulus":
+        s = annulus_complex()
+    elif name == "annulus dual":
+        s = annulus_complex().dual()
+    else:
+        s = fixtures.fixture(name)
+    assert verify_duality(s).hypotheses == HYPOTHESES[name]
+
+
+def test_duality_builds_each_chain_complex_once(torus9, count_calls):
+    calls = count_calls((duality, "chain_complex"))
+    assert verify_duality(torus9).passed
+    # complex and dual, their barycentric subdivisions, the reversed pair
+    assert len(calls) == 6
+
+
+def test_duality_colours_only_maximal_closures_again(torus9, count_calls):
+    calls = count_calls((flags, "_two_color"), (duality, "_two_color"))
+    verify_duality(torus9)
+    assert len(calls) == 82
 
 
 def test_duality_torus(torus9):

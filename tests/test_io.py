@@ -2,6 +2,7 @@ import pytest
 
 from cellcomplexes import fixtures
 from cellcomplexes.cells import CellId
+from cellcomplexes.complexes import build_complex
 from cellcomplexes.errors import FormatError
 from cellcomplexes.fileformat import covering_pairs, dumps, loads
 from cellcomplexes.subdivision import barycentric, stellar
@@ -40,6 +41,19 @@ def test_header_and_counts(torus9):
 def test_covers_are_rank_adjacent(torus9):
     for lo, hi in covering_pairs(torus9):
         assert torus9.rank(hi) == torus9.rank(lo) + 1
+
+
+def test_round_trip_cover_skipping_a_rank():
+    # axiom-invalid: u lies directly below the 2-cell f, with no edge
+    # between, and below g only through f
+    C = CellId.of
+    s = build_complex([(C("v"), 0), (C("w"), 0), (C("u"), 0), (C("e"), 1), (C("f"), 2),
+                       (C("g"), 3)],
+                      [(C("v"), C("e")), (C("w"), C("e")), (C("e"), C("f")),
+                       (C("u"), C("f")), (C("f"), C("g"))])
+    assert covering_pairs(s) == [(C("v"), C("e")), (C("w"), C("e")),
+                                 (C("e"), C("f")), (C("u"), C("f")), (C("f"), C("g"))]
+    assert loads(dumps(s)) == s
 
 
 def test_order_insensitive_and_comments():

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import disjoint_stellar_description
 
-from cellcomplexes import fixtures
+from cellcomplexes import fixtures, subdivision
 from cellcomplexes.cells import CellId, EMPTY
 from cellcomplexes.chains import chain_complex, homology, homology_of, is_acyclic
 from cellcomplexes.complexes import euler_characteristic
@@ -308,6 +308,15 @@ def test_tower_torus(torus9, torus9_signs):
     assert tower.iso[C("v00")] == (C("v00"),)
     deep = cell_of_chain(torus9, (C("v00"), C("h00"), C("f00")))
     assert tower.iso[deep] == (C("v00"), C("h00"), C("f00"))
+
+
+def test_tower_builds_one_chain_complex_per_step(torus9, torus9_signs, count_calls):
+    calls = count_calls((subdivision, "chain_complex"))
+    tower = barycentric_via_stellar(torus9, torus9_signs)
+    assert len(calls) == 1 + 27  # the source, then one per stellar step
+    first, second = tower.stages
+    assert second.step_map.source is first.step_map.target
+    assert tower.phi_total.target is second.step_map.target
 
 
 def test_tower_one_dimensional_cycle():
