@@ -301,6 +301,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
     # one entry per basis pair: <boundary x, z> against <x, dual boundary z>
     adjoint_bad = sum(star._mismatches(i) for i in range(n))
 
+    if n == 0:
+        trials = 0  # a random trial draws a degree i < n, and there is none
     rng = random.Random(seed)
     stokes_bad = 0
     done = 0

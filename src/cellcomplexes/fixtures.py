@@ -73,6 +73,20 @@ def torus9() -> Ccc:
     return build_complex(cells, covers)
 
 
+def _polygon(n: int, prefix: str) -> Ccc:
+    """A circle of ``n`` vertices ``<prefix>0 .. <prefix>(n-1)`` and ``n`` edges."""
+    return from_simplicial([(f"{prefix}{i}", f"{prefix}{(i + 1) % n}") for i in range(n)])
+
+
+def torus(n: int, m: int | None = None) -> Ccc:
+    """The torus as the product of an n-gon and an m-gon (m defaults to n):
+    n*m squares and 4nm cells in all."""
+    m = n if m is None else m
+    if min(n, m) < 3:  # two edges on one vertex pair would be one simplex
+        raise ValueError("torus polygons need at least 3 sides")
+    return product(_polygon(n, "a"), _polygon(m, "b"))
+
+
 def mobius3() -> Ccc:
     """A Mobius band of three squares; face vector (6, 9, 3).
 
@@ -161,15 +175,20 @@ FIXTURES = {
 
 
 def fixture(name: str, *args) -> Ccc:
-    """Look a fixture up by name; ``simplex`` takes its dimension."""
+    """Look a fixture up by name; ``simplex`` takes its dimension and
+    ``torus`` one or two polygon sizes."""
     if name == "simplex":
         if len(args) != 1:
             raise ValueError("simplex needs a dimension argument")
         return simplex(int(args[0]))
+    if name == "torus":
+        if len(args) not in (1, 2):
+            raise ValueError("torus needs one or two polygon sizes")
+        return torus(*(int(a) for a in args))
     try:
         builder = FIXTURES[name]
     except KeyError:
-        known = ", ".join(sorted(FIXTURES) + ["simplex N"])
+        known = ", ".join(sorted(FIXTURES) + ["simplex N", "torus N [M]"])
         raise ValueError(f"unknown fixture {name!r}; known: {known}") from None
     if args:
         raise ValueError(f"fixture {name!r} takes no arguments")

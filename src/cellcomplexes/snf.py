@@ -1,15 +1,25 @@
-"""Smith normal form over the integers, with transforms.
+"""Smith normal form over the integers.
 
-Exact arbitrary-precision arithmetic throughout.  Pivoting picks the
-entry of smallest nonzero magnitude and moves it into place, which keeps
-coefficient growth tame on the small dense matrices this library
-produces.  The returned factorization satisfies ``U @ M @ V == diag`` with
-``U``, ``V`` unimodular, and the inverse transforms are tracked alongside.
+Exact arbitrary-precision arithmetic throughout.  Two entry points read
+only the diagonal and track no transforms: :func:`invariant_factors` and
+:func:`matrix_rank` eliminate the unit entries of a sparse copy of the
+matrix by row operations and hand the small non-unit remainder to the
+dense engine.  The dense engine, :func:`smith_normal_form`, and the entry
+points built on it, :func:`kernel_basis` and :func:`solve_columns`, track
+all four transforms.  Its pivoting picks the entry of smallest nonzero
+magnitude and moves it into place, which keeps coefficient growth tame on
+small dense matrices.  Its factorization satisfies ``U @ M @ V == diag``
+with ``U``, ``V`` unimodular, and the inverse transforms are tracked
+alongside.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def _identity(n: int):
@@ -149,11 +159,66 @@ def smith_normal_form(matrix) -> SmithNormalForm:
 
 
 def invariant_factors(matrix) -> list:
-    return [d for d in smith_normal_form(matrix).diagonal if d]
+    """The nonzero diagonal of the Smith normal form: positive, each
+    dividing the next.
+
+    A unit pivot needs no column operations: once row operations have
+    cleared its column, its row and column split off as a factor 1.  The
+    pivot is a ±1 entry of the shortest live row, taken from the shortest
+    column among that row's units, which keeps fill-in low on sparse
+    boundary matrices.  Rows left without a unit entry form the
+    remainder, whose factors come from :func:`smith_normal_form`.
+    """
+    a = np.asarray(matrix)
+    if a.size == 0:
+        return []
+    nz_rows, nz_cols = np.nonzero(a)
+    rows = defaultdict(dict)    # row -> {column: nonzero entry}
+    col_rows = defaultdict(set)  # column -> rows with a nonzero there
+    for i, j, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        rows[i][j] = int(v)
+        col_rows[j].add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, p = heapq.heappop(heap)
+        prow = rows.get(p)
+        if prow is None or len(prow) != length:
+            continue  # stale: the row was eliminated or has been pushed again
+        unit_cols = [j for j, v in prow.items() if v == 1 or v == -1]
+        if not unit_cols:
+            continue  # pushed again if a later pivot changes it
+        pc = min(unit_cols, key=lambda j: len(col_rows[j]))
+        sign = prow[pc]
+        del rows[p]
+        for j in prow:
+            col_rows[j].discard(p)
+        for k in col_rows.pop(pc):
+            row = rows[k]
+            q = row[pc] * sign  # row k -= q * pivot row clears column pc
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    if j not in row:
+                        col_rows[j].add(k)
+                    row[j] = w
+                else:
+                    del row[j]
+                    if j != pc:
+                        col_rows[j].discard(k)
+            if row:
+                heapq.heappush(heap, (len(row), k))
+            else:
+                del rows[k]
+        units += 1
+    keep_cols = sorted({j for r in rows.values() for j in r})
+    rest = [[r.get(j, 0) for j in keep_cols] for _, r in sorted(rows.items())]
+    return [1] * units + [d for d in smith_normal_form(rest).diagonal if d]
 
 
 def matrix_rank(matrix) -> int:
-    return smith_normal_form(matrix).rank
+    return len(invariant_factors(matrix))
 
 
 def kernel_basis(matrix) -> list:

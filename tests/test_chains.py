@@ -23,6 +23,7 @@ from cellcomplexes.chains import (
 from cellcomplexes.complexes import euler_characteristic, from_simplicial, simplex_vertices
 from cellcomplexes.errors import MissingSignError
 from cellcomplexes.flags import SignTable, orient_all_cells, simplicial_signs
+from cellcomplexes.subdivision import barycentric
 
 C = CellId.of
 
@@ -175,6 +176,23 @@ def test_projective_plane_torsion():
         [tuple(sorted(simp)) for simp in
          (simplex_vertices(f) for f in s.cells_of_rank(2))])
     assert (h.betti, h.torsion) == (betti, torsion)
+
+
+def test_projective_plane_torsion_after_two_barycentric_subdivisions():
+    s, signs = barycentric(barycentric(fixtures.projective_plane())[0])
+    h = homology(s, signs)
+    assert (h.betti, h.torsion) == ((1, 0, 0), ((), (2,), ()))
+    c = cohomology(s, signs)
+    assert (c.betti, c.torsion) == ((1, 0, 0), ((), (), (2,)))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 5), (20, 20)])
+def test_torus_fixture_homology(n, m):
+    s = fixtures.torus(n, m)
+    signs = orient_all_cells(s)
+    h = homology(s, signs)
+    assert (h.betti, h.torsion) == ((1, 2, 1), ((), (), ()))
+    assert cohomology(s, signs) == h
 
 
 # -- relative homology ---------------------------------------------------------

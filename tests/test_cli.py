@@ -62,6 +62,20 @@ def test_example_simplex():
     assert len(fileformat.loads(text)) == 7
 
 
+def test_example_torus_homology_from_stdin():
+    code, text = run_cli(["example", "torus", "20"])
+    assert code == 0
+    assert len(fileformat.loads(text)) == 1600
+    code, out = run_cli(["homology", "-"], stdin=text)
+    assert code == 0
+    assert out == "H_0 = Z^1\nH_1 = Z^2\nH_2 = Z^1\n"
+
+
+def test_example_torus_too_small():
+    code, _ = run_cli(["example", "torus", "4", "2"])
+    assert code == 2
+
+
 def test_example_writes_file(tmp_path):
     out = tmp_path / "e.ccc"
     code, _ = run_cli(["example", "edge", "-o", str(out)])
@@ -256,6 +270,14 @@ def test_stokes(torus_file):
     code, out = run_cli(["stokes", torus_file])
     assert code == 0
     assert "residuals: 0" in out
+
+
+def test_stokes_point():
+    code, text = run_cli(["example", "point"])
+    assert code == 0
+    code, out = run_cli(["stokes", "-"], stdin=text)
+    assert code == 0
+    assert "random trials: 0" in out
 
 
 # -- exit code contract across commands -------------------------------------------------

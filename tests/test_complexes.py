@@ -73,6 +73,26 @@ def test_fixture_axioms(name):
     assert fixtures.fixture(name).validate_axioms().passed
 
 
+@pytest.mark.parametrize("sizes", [("3",), ("3", "5"), ("6", "4")])
+def test_torus_fixture_cells(sizes):
+    n, m = int(sizes[0]), int(sizes[-1])
+    s = fixtures.fixture("torus", *sizes)
+    assert len(s) == 4 * n * m
+    assert [len(s.cells_of_rank(r)) for r in range(3)] == [n * m, 2 * n * m, n * m]
+    assert s.validate_axioms().passed
+
+
+@pytest.mark.parametrize("sizes", [(), ("2",), ("3", "2"), ("1", "4"), ("3", "3", "3")])
+def test_torus_fixture_rejects_bad_sizes(sizes):
+    with pytest.raises(ValueError):
+        fixtures.fixture("torus", *sizes)
+
+
+def test_unknown_fixture_lists_parametric_ones():
+    with pytest.raises(ValueError, match=r"simplex N, torus N \[M\]"):
+        fixtures.fixture("klein_bottle")
+
+
 def test_axiom4_counterexample():
     report = fixtures.bad_axiom4().validate_axioms()
     assert not report.passed

@@ -275,6 +275,12 @@ def test_stokes_tetra_boundary(tetra_boundary):
     assert stokes_check(tetra_boundary, trials=40).passed
 
 
+def test_stokes_point_makes_no_random_trials():
+    rep = stokes_check(fixtures.point())
+    assert rep.passed
+    assert rep.dimension == 0 and rep.random_trials == 0 and rep.basis_identity
+
+
 def test_pairing_descends_to_homology(torus9, torus_dos):
     cc = chain_complex(torus9, torus_dos.signs)
     cd = chain_complex(torus_dos.dual_complex, torus_dos.dual_signs)

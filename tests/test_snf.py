@@ -4,6 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sympy_invariant_factors
 
+from cellcomplexes import fixtures
+from cellcomplexes.chains import chain_complex
+from cellcomplexes.errors import NotOrientableError
+from cellcomplexes.flags import SignTable, orient_all_cells
 from cellcomplexes.snf import (
     invariant_factors,
     kernel_basis,
@@ -12,6 +16,7 @@ from cellcomplexes.snf import (
     smith_normal_form,
     solve_columns,
 )
+from cellcomplexes.subdivision import barycentric
 
 
 def _check_decomposition(mat):
@@ -82,11 +87,14 @@ def test_solve_columns_rejects_outside_span():
         solve_columns([[2, 0], [0, 2]], [[1], [1]])
 
 
-_small_matrices = st.integers(1, 5).flatmap(
-    lambda m: st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=m, max_size=m)))
+def _matrices(entries, max_side=12):
+    return st.integers(1, max_side).flatmap(
+        lambda m: st.integers(1, max_side).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+
+
+_small_matrices = _matrices(st.integers(-9, 9), max_side=5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,3 +116,63 @@ def test_random_kernels_annihilate(mat):
 
 def test_invariant_factors_drop_zeros():
     assert invariant_factors([[2, 0], [0, 0]]) == [2]
+
+
+# -- the transform-free engine against the dense one and sympy -------------
+
+
+def _dense_factors(mat):
+    return [d for d in smith_normal_form(mat).diagonal if d]
+
+
+_ENTRIES = {
+    "units": st.sampled_from([0, 0, 1, -1]),
+    "integers": st.integers(-9, 9),
+    "even": st.integers(-4, 4).map(lambda x: 2 * x),  # no unit: remainder only
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_invariant_factors_match_oracles(kind, data):
+    mat = data.draw(_matrices(_ENTRIES[kind]))
+    f = invariant_factors(mat)
+    assert all(d > 0 for d in f)
+    assert all(f[i + 1] % f[i] == 0 for i in range(len(f) - 1))
+    assert f == sympy_invariant_factors(mat)
+    assert f == _dense_factors(mat)
+    assert invariant_factors(np.array(mat, dtype=np.int64)) == f
+    assert matrix_rank(mat) == smith_normal_form(mat).rank
+
+
+def test_invariant_factors_of_empty_shapes():
+    assert invariant_factors([]) == []
+    assert invariant_factors([[], []]) == []
+    assert invariant_factors(np.zeros((0, 4), dtype=np.int64)) == []
+    assert invariant_factors(np.zeros((3, 0), dtype=np.int64)) == []
+
+
+def test_invariant_factors_keep_big_entries_exact():
+    big = 2 ** 70
+    assert invariant_factors([[big, 0], [0, 2 * big]]) == [big, 2 * big]
+    assert invariant_factors([[1, big], [big, 1]]) == [1, big * big - 1]
+
+
+def _fixture_tables(name):
+    s = fixtures.fixture(name)
+    try:
+        signs = orient_all_cells(s)
+    except NotOrientableError:  # bad_axiom4: take its unsigned incidences
+        signs = SignTable(s, {(x, y): 1 for x in s.cells for y in s.faces(x)})
+    return [(s, signs), barycentric(s)]
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_fixture_boundaries_match_dense_engine(name):
+    for s, signs in _fixture_tables(name):
+        for augmented in (False, True):
+            cc = chain_complex(s, signs, augmented)
+            for m in cc.mats:
+                for mat in (m, m.T):
+                    assert invariant_factors(mat) == _dense_factors(mat.tolist())
