@@ -23,7 +23,8 @@ class _EmptyBase:
     """Marker for the rank -1 empty cell; usable only as a cone base."""
 
     __slots__ = ()
-    _key = ("a",)
+    _kind = 0
+    _hash = hash(("a",))
 
     def __repr__(self):
         return "EMPTY"
@@ -42,24 +43,24 @@ class CellId:
     to read the serialized form back.
     """
 
-    __slots__ = ("name", "apex", "base", "_key", "_hash")
+    __slots__ = ("name", "apex", "base", "_kind", "_hash")
 
     def __init__(self, *, name=None, apex=None, base=None):
         if name is not None:
             if not name or name == "0" or not _BAD_NAME_CHARS.isdisjoint(name):
                 raise FormatError(f"invalid cell name {name!r}")
-            key = ("b", name)
+            kind, h = 1, hash(("b", name))
         else:
             if not isinstance(apex, CellId):
                 raise FormatError("cone apex must be a CellId")
             if not (base is EMPTY or isinstance(base, CellId)):
                 raise FormatError("cone base must be a CellId or EMPTY")
-            key = ("c", apex._key, base._key)
+            kind, h = 2, hash(("c", apex._hash, base._hash))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_hash", h)
 
     @classmethod
     def of(cls, name: str) -> "CellId":
@@ -77,19 +78,23 @@ class CellId:
         raise AttributeError("CellId is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, CellId) and self._key == other._key
+        if self is other:
+            return True
+        if not isinstance(other, CellId) or self._hash != other._hash:
+            return False
+        return _compare(self, other) == 0
 
     def __lt__(self, other):
-        return self._key < other._key
+        return _compare(self, other) < 0
 
     def __le__(self, other):
-        return self._key <= other._key
+        return _compare(self, other) <= 0
 
     def __gt__(self, other):
-        return self._key > other._key
+        return _compare(self, other) > 0
 
     def __ge__(self, other):
-        return self._key >= other._key
+        return _compare(self, other) >= 0
 
     def __hash__(self):
         return self._hash
@@ -114,6 +119,30 @@ class CellId:
 
     def __repr__(self):
         return str(self)
+
+
+def _compare(a, b) -> int:
+    """-1, 0 or 1 as ``a`` sorts below, equal to or above ``b``.
+
+    The empty base sorts first, then names, then cones, which compare
+    apex first and base second.  The walk keeps its own stack, so labels
+    of any depth compare.
+    """
+    todo = []  # base pairs still to compare once the apexes tie
+    while True:
+        if a is not b:
+            if a._kind != b._kind:
+                return -1 if a._kind < b._kind else 1
+            if a._kind == 1:
+                if a.name != b.name:
+                    return -1 if a.name < b.name else 1
+            else:
+                todo.append((a.base, b.base))
+                a, b = a.apex, b.apex
+                continue
+        if not todo:
+            return 0
+        a, b = todo.pop()
 
 
 def parse_cell_id(token: str) -> CellId:

@@ -80,7 +80,7 @@ class Ccc:
                  "_faces", "_cofaces", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], strictly_below: Mapping[CellId, Iterable[CellId]]):
-        cells = sorted(ranks, key=lambda c: (ranks[c], c._key))
+        cells = sorted(ranks, key=lambda c: (ranks[c], c))
         index = {c: i for i, c in enumerate(cells)}
         n = len(cells)
         below = [0] * n
@@ -141,7 +141,7 @@ class Ccc:
     __hash__ = None
 
     def __repr__(self):
-        counts = ",".join(str(len(self.cells_of_rank(r))) for r in range(self.dim + 1))
+        counts = ",".join(str(m.bit_count()) for _, m in sorted(self._rank_masks.items()))
         return f"<Ccc {len(self)} cells ({counts})>"
 
     def rank(self, x: CellId) -> int:
@@ -304,8 +304,8 @@ class Ccc:
 
         rank_ge = {}  # rank r -> mask of cells with rank >= r
         acc = 0
-        for r in range(self._dim, -1, -1):
-            acc |= self._rank_masks.get(r, 0)
+        for r in sorted(self._rank_masks, reverse=True):
+            acc |= self._rank_masks[r]
             rank_ge[r] = acc
 
         for i in range(n):

@@ -33,13 +33,15 @@ from .errors import CccError, NotManifoldLikeError, NotOrientableError
 from .flags import (
     Orientation,
     SignTable,
+    _canonical_signs,
     _closure_flag_graph,
-    _derive_signs,
+    _down,
+    _least_flag,
     _two_color,
-    flags_of,
     orient,
-    orient_all_cells,
 )
+# Unused here; kept because bench/tracing.py patches these names.
+from .flags import _derive_signs, flags_of, orient_all_cells  # noqa: F401
 from .subdivision import barycentric, chain_of_cell
 
 
@@ -54,10 +56,30 @@ class DualOrientationSet:
     dual_signs: SignTable   # on the dual complex
 
     def check_sign_law(self) -> int:
-        """Verify s_dual(y, x) == s(x, y) on every incidence pair; returns
-        the number of pairs checked."""
+        """Verify that the dual table orients the dual complex, and that
+        s_dual(y, x) == s(x, y) on every incidence pair; returns the number
+        of pairs checked.
+
+        The other cells are signed canonically, so the dual table is an
+        orientation exactly when the signs of each maximal cell obey the
+        diamond rule and the two maximal cells on a codimension-1 cell
+        give it opposite signs, the rule for a dual edge and its two dual
+        vertices.
+        """
+        s, signs = self.complex, self.signs.signs
+        for x in s.maximal_cells():
+            meet = {}  # z -> s(x, y) s(y, z) for the faces y of x above z
+            for y in s.faces(x):
+                for z, v in _down(s, signs, y):
+                    meet.setdefault(z, []).append(signs[(x, y)] * v)
+            if any(sum(vs) for vs in meet.values()):
+                raise CccError(f"the signs of {x} break the diamond rule")
+        for y in s.cells_of_rank(s.dim - 1):
+            above = s.cofaces(y)
+            if len(above) == 2 and signs[(above[0], y)] == signs[(above[1], y)]:
+                raise CccError(f"{above[0]} and {above[1]} give {y} the same sign")
         checked = 0
-        for (x, y), v in self.signs.signs.items():
+        for (x, y), v in signs.items():
             if self.dual_signs.s(y, x) != v:
                 raise CccError(f"dual sign law fails on the pair ({x}, {y})")
             checked += 1
@@ -73,9 +95,15 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
     """Build matching sign tables on a complex and its dual.
 
     Maximal cells take the restriction of the global orientation, other
-    cells their canonical one.  Each dual closure is oriented through one
-    fixed flag below the cell (the least; the tests spot-check that the
-    choice does not matter).  The sign law is verified before returning.
+    cells their canonical one: for a maximal ``x``, ``s(x, y)`` is the
+    color of the flag that continues from ``x`` with the least flag of
+    ``y``, which the canonical orientation of ``y`` colors +1.  The dual
+    table is written by the sign law ``s*(y, x) = s(x, y)``.  Every dual
+    vertex is +1: it is a maximal cell ``x``, and splicing its one dual
+    flag with the least flag ``g`` below ``x`` colors it
+    ``omega(g) * omega(g)``.  :meth:`DualOrientationSet.check_sign_law`
+    runs before returning, so an ``omega`` whose signs do not orient the
+    dual raises CccError.
     """
     if not s.classify().manifold_like:
         raise NotManifoldLikeError("dual orientations need a manifold-like complex")
@@ -83,21 +111,16 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
         omega = orient(s)
     sd = s.dual()
 
-    overrides = {x: Orientation({f: omega.sign(f) for f in flags_of(s, x)})
-                 for x in s.maximal_cells()}
-    signs = orient_all_cells(s, overrides=overrides)
+    maximal = s.maximal_cells()
+    is_maximal = set(maximal)
+    signs = _canonical_signs(s, [x for x in s.cells if x not in is_maximal])
+    for x in maximal:
+        for y in s.faces(x):
+            signs[(x, y)] = omega.sign((x,) + _least_flag(s, y))
+    vertex_signs = {x: omega.sign((x,)) for x in maximal if s.rank(x) == 0}
+    dual_signs = SignTable(sd, {(y, x): v for (x, y), v in signs.items()})
 
-    dual_orients = {}
-    for x in s.cells:
-        gamma1 = flags_of(s, x)[0]
-        base = signs.color(gamma1)
-        dual_orients[x] = Orientation({
-            gamma2: omega.sign(tuple(reversed(gamma2))[:-1] + gamma1) * base
-            for gamma2 in flags_of(sd, x)})
-    vertex_signs = {v: dual_orients[v].sign((v,)) for v in sd.cells_of_rank(0)}
-    dual_signs = SignTable(sd, _derive_signs(sd, dual_orients), vertex_signs)
-
-    out = DualOrientationSet(s, sd, omega, signs, dual_signs)
+    out = DualOrientationSet(s, sd, omega, SignTable(s, signs, vertex_signs), dual_signs)
     out.check_sign_law()
     return out
 

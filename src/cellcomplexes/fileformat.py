@@ -38,7 +38,7 @@ def covering_pairs(s: Ccc):
     for x in s.cells:
         strict = s.closure([x]) - {x}
         below = set().union(*(s.closure([z]) - {z} for z in strict))
-        out += ((y, x) for y in sorted(strict - below, key=lambda c: c._key))
+        out += ((y, x) for y in sorted(strict - below))
     return out
 
 

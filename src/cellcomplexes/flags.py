@@ -17,6 +17,24 @@ Conversely the color of a flag is the product of the signs along it
 times the sign of its vertex, so a :class:`SignTable` stores only signs
 and derives colorings.  Simplex-like cells take the removal rule:
 dropping the i-th largest member carries sign (-1)^i.
+
+Canonical orientations are computed without listing flags.  Once the
+faces of ``x`` are oriented, the flags below ``x`` fall into one block
+per face, and two blocks touch exactly across the diamonds
+``x > y, y' > z``, where adjacent flags are opposite when
+``s(x, y) s(y, z) = -s(x, y') s(y', z)`` (axiom 4; a vertex lies over the
+empty cell, with its vertex sign).  Setting ``s(x, faces(x)[0]) = +1``,
+which colors the least flag +1, a walk along these links signs every
+face of ``x`` rank by rank in O(#diamonds): the diamond rule.  In the
+same way the flags of the whole complex fall into one block per top
+cell, and two top cells ``x1, x2`` sharing a face ``y`` need
+``e(x1) s(x1, y) = -e(x2) s(x2, y)``; walking these links from the least
+top cell with ``e = +1`` orients the complex: the top-cell rule.  With
+oriented faces, a flag graph is connected and bipartite exactly when its
+links are consistent and reach every block.  Wherever a rule fails, or
+the complex is not equidimensional, the flag graphs are 2-colored as the
+definition says, so every error carries the odd flag cycle, component
+count and cell that the flag coloring finds.
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .cells import CellId
+from .cells import EMPTY, CellId
 from .complexes import Ccc, simplex_vertices
 from .errors import (
     CccError,
@@ -58,8 +76,12 @@ def flags_of(s: Ccc, x: CellId) -> list:
     return sorted(out)
 
 
+def _equidimensional(s: Ccc) -> bool:
+    return all(s.rank(c) == s.dim for c in s.maximal_cells())
+
+
 def _require_equidimensional(s: Ccc):
-    if any(s.rank(c) != s.dim for c in s.maximal_cells()):
+    if not _equidimensional(s):
         raise NotEquidimensionalError(
             "flags of the whole complex need all maximal cells at top rank")
 
@@ -205,9 +227,18 @@ def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> Orientation:
 def orient(s: Ccc) -> Orientation:
     """Canonical orientation: the least flag is colored +1.
 
-    Raises NotOrientableError carrying an odd-cycle certificate or a
+    Every flag of the complex gets its color.  The top cells are signed
+    by the top-cell rule; when it fails the flag graph is 2-colored, and
+    the NotOrientableError carries an odd-cycle certificate or a
     component count.
     """
+    signs = _diamond_signs(s, s.cells) if _equidimensional(s) else None
+    if signs is not None:
+        eps = _link_signs({x: _down(s, signs, x) for x in s.cells_of_rank(s.dim)})
+        if eps is not None:
+            table = SignTable(s, signs)
+            return Orientation({f: e * table.color(f)
+                                for x, e in eps.items() for f in flags_of(s, x)})
     graph = flag_graph(s)
     if not graph.flags:
         raise NotOrientableError("complex has no flags")
@@ -222,7 +253,7 @@ class SignTable:
     """Incidence signs plus one sign per vertex (default +1); orientations
     are derived from them."""
 
-    __slots__ = ("complex", "signs", "vertex_signs")
+    __slots__ = ("complex", "signs", "vertex_signs", "_flag_counts")
 
     def __init__(self, complex: Ccc, signs: Mapping,
                  vertex_signs: Mapping | None = None):
@@ -230,6 +261,7 @@ class SignTable:
         self.signs = dict(signs)
         given = vertex_signs or {}
         self.vertex_signs = {v: given.get(v, 1) for v in complex.cells_of_rank(0)}
+        self._flag_counts = None
 
     def s(self, x: CellId, y: CellId) -> int:
         try:
@@ -245,7 +277,18 @@ class SignTable:
         return c
 
     def orientation(self, x: CellId) -> Orientation:
-        return Orientation({f: self.color(f) for f in flags_of(self.complex, x)})
+        """The orientation of ``x``; each flag's color is derived on lookup."""
+        return Orientation(_FlagColors(self, x))
+
+    def _flag_count(self, x: CellId) -> int:
+        """The number of flags below ``x``: the sum over its faces, 1 for a
+        vertex.  Counted for every cell on first use."""
+        if self._flag_counts is None:
+            s, counts = self.complex, {}
+            for c in s.cells:  # canonical order lists faces first
+                counts[c] = sum(counts[y] for y in s.faces(c)) if s.rank(c) else 1
+            self._flag_counts = counts
+        return self._flag_counts[x]
 
     @property
     def orientations(self) -> Mapping:
@@ -264,6 +307,30 @@ class SignTable:
         """The table induced on a closed subcomplex."""
         signs = {(x, y): self.s(x, y) for x in sub.cells for y in sub.faces(x)}
         return SignTable(sub, signs, self.vertex_signs)
+
+
+class _FlagColors(Mapping):
+    """Read-only view of the colors of the flags below one cell, each
+    derived from the sign table on lookup."""
+
+    def __init__(self, table: SignTable, x: CellId):
+        self._table = table
+        self._cell = x
+        self._length = table.complex.rank(x) + 1
+
+    def __getitem__(self, flag) -> int:
+        faces = self._table.complex.faces
+        if not (type(flag) is tuple and len(flag) == self._length
+                and flag[0] == self._cell
+                and all(b in faces(a) for a, b in zip(flag, flag[1:]))):
+            raise KeyError(flag)
+        return self._table.color(flag)
+
+    def __iter__(self):
+        return iter(flags_of(self._table.complex, self._cell))
+
+    def __len__(self):
+        return self._table._flag_count(self._cell)
 
 
 class _Orientations(Mapping):
@@ -289,36 +356,97 @@ def sign_from_flag(table_x: Orientation, table_y: Orientation, flag: Flag) -> in
     return table_x.sign(flag) * table_y.sign(flag[1:])
 
 
+def _least_flag(s: Ccc, x: CellId) -> Flag:
+    """The least flag below ``x``: every step takes the least face."""
+    flag = (x,)
+    while s.rank(flag[-1]):
+        flag += (s.faces(flag[-1])[0],)
+    return flag
+
+
 def _derive_signs(s: Ccc, orientations: Mapping) -> dict:
-    signs = {}
-    for x in s.cells:
-        for y in s.faces(x):
-            tail = min(orientations[y].colors)
-            signs[(x, y)] = sign_from_flag(orientations[x], orientations[y],
-                                           (x,) + tail)
+    """The signs of the faces of each oriented cell, read at the flag that
+    continues with the face's least flag, which its canonical
+    orientation colors +1."""
+    return {(x, y): o.sign((x,) + _least_flag(s, y))
+            for x, o in orientations.items() for y in s.faces(x)}
+
+
+# a vertex lies over the empty cell, with its vertex sign +1
+_OVER_EMPTY = ((EMPTY, 1),)
+
+
+def _down(s: Ccc, signs: Mapping, x: CellId) -> tuple:
+    """The faces of ``x``, each with its sign."""
+    if not s.rank(x):
+        return _OVER_EMPTY
+    return tuple((y, signs[(x, y)]) for y in s.faces(x))
+
+
+def _link_signs(down: Mapping):
+    """Signs ``e`` on the cells ``down`` lists (cell -> its faces with
+    their signs), +1 on the first, such that ``e(a) s(a, z) = -e(b) s(b, z)``
+    whenever ``a`` and ``b`` share a face ``z``.  None when the links
+    conflict or do not reach every cell."""
+    above: dict = {}
+    for a, zs in down.items():
+        for z, v in zs:
+            above.setdefault(z, []).append((a, v))
+    root = next(iter(down), None)
+    if root is None:
+        return None
+    e = {root: 1}
+    todo = [root]
+    while todo:
+        a = todo.pop()
+        for z, v in down[a]:
+            want = -e[a] * v
+            for b, w in above[z]:
+                if b is a:
+                    continue
+                if b not in e:
+                    e[b] = want * w
+                    todo.append(b)
+                elif e[b] != want * w:
+                    return None
+    return e if len(e) == len(down) else None
+
+
+def _diamond_signs(s: Ccc, cells) -> dict | None:
+    """The canonical signs of the faces of ``cells`` (closed under taking
+    faces, in canonical order) by the diamond rule, or None if it fails
+    at some cell."""
+    signs: dict = {}
+    down: dict = {}  # signed cell -> its faces with their signs
+    for x in cells:
+        if s.rank(x):
+            e = _link_signs({y: down[y] for y in s.faces(x)})
+            if e is None:
+                return None
+            for y in s.faces(x):
+                signs[(x, y)] = e[y]
+        down[x] = _down(s, signs, x)
     return signs
 
 
-def orient_all_cells(s: Ccc, overrides: Mapping | None = None) -> SignTable:
-    """Choose an orientation for every cell and tabulate all signs.
+def _canonical_signs(s: Ccc, cells) -> dict:
+    """The canonical signs of the faces of ``cells``.  Where the diamond
+    rule fails, the closures are 2-colored flag by flag, which raises for
+    the first cell whose closure is not orientable or not flag-connected."""
+    signs = _diamond_signs(s, cells)
+    if signs is None:
+        signs = _derive_signs(s, {x: orient_cell(s, x) for x in cells if s.rank(x)})
+    return signs
 
-    Each closure gets its canonical orientation (least flag +1, so every
-    vertex flag is +1) unless ``overrides`` supplies one, as the duality
-    pipeline does for maximal cells.  Fails with the witness cell if some
-    closure is not orientable or not flag-connected.  Only the induced
-    signs and the vertex colors are kept.
+
+def orient_all_cells(s: Ccc) -> SignTable:
+    """Choose the canonical orientation of every cell and tabulate all signs.
+
+    Each closure's least flag is colored +1, so every vertex is +1.  Fails
+    with the witness cell if some closure is not orientable or not
+    flag-connected.  Only the signs and the vertex colors are kept.
     """
-    overrides = overrides or {}
-    orientations = {}
-    for x in s.cells:
-        if x in overrides:
-            orientations[x] = overrides[x]
-        elif s.rank(x) == 0:
-            orientations[x] = Orientation({(x,): 1})
-        else:
-            orientations[x] = orient_cell(s, x)
-    vertex_signs = {v: orientations[v].sign((v,)) for v in s.cells_of_rank(0)}
-    return SignTable(s, _derive_signs(s, orientations), vertex_signs)
+    return SignTable(s, _canonical_signs(s, s.cells))
 
 
 # -- simplicial orientations ---------------------------------------------

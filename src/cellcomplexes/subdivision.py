@@ -29,9 +29,9 @@ from .cells import CellId, EMPTY
 from .chains import ChainComplex, HomologyResult, chain_complex, homology_of
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
-from .flags import SignTable, permutation_orientation
-# Unused here; kept because bench/tracing.py patches these names.
-from .flags import flags_of, _derive_signs  # noqa: F401
+from .flags import SignTable, flags_of, permutation_orientation
+# Unused here; kept because bench/tracing.py patches this name.
+from .flags import _derive_signs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,9 @@ def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
         for j, x in enumerate(src.bases[d]):
-            for flag, color in signs.orientation(x).colors.items():
+            for flag in flags_of(s, x):
                 lbl = cell_of_chain(s, tuple(reversed(flag)))
-                m[tgt.index[d][lbl], j] = color
+                m[tgt.index[d][lbl], j] = signs.color(flag)
         mats.append(m)
     return ChainMap(src, tgt, mats)
 

@@ -7,9 +7,10 @@ normal form; flag adjacency is rebuilt by comparing all pairs of maximal
 chains; the disjoint-points subdivision is assembled directly from its
 closed-form cell list and order rules; orientations are colorings of
 every flag, built flag by flag (removal permutations, cone pull-backs,
-dual splicing), and incidence signs are read off them; chain boundaries
-walk faces and cofaces through the sign table instead of reading the
-boundary matrices, and the boundary adjunction is checked pair by pair.
+dual splicing, 2-colorings of flag graphs), and incidence signs are read
+off them; chain boundaries walk faces and cofaces through the sign table
+instead of reading the boundary matrices, and the boundary adjunction is
+checked pair by pair.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.chains import Chain
 from cellcomplexes.complexes import Ccc, simplex_vertices
-from cellcomplexes.flags import flags_of, orient_cell
+from cellcomplexes.errors import NotOrientableError
+from cellcomplexes.flags import (
+    SignTable,
+    _color_or_raise,
+    flag_graph,
+    flags_of,
+    orient_cell,
+)
 from cellcomplexes.subdivision import chain_of_cell
 
 
@@ -120,7 +128,7 @@ def disjoint_stellar_description(x: Ccc, points) -> Ccc:
     dead = set()
     for p in points:
         dead |= x.up_set(p)
-    base = {p: sorted(x.open_star(p), key=lambda c: c._key) for p in points}
+    base = {p: sorted(x.open_star(p)) for p in points}
     for a, b in combinations(points, 2):
         assert not (x.up_set(a) & x.up_set(b)), "up-sets must be disjoint"
 
@@ -217,6 +225,22 @@ def canonical_colors(s: Ccc, overrides=None) -> dict:
         else:
             colors[x] = dict(orient_cell(s, x).colors)
     return colors
+
+
+def flag_orient_all_cells(s: Ccc) -> SignTable:
+    """The canonical sign table built from flags: 2-color every closure
+    from its least flag (raising for the first cell, in canonical order,
+    whose closure fails) and read every sign off the colorings."""
+    return SignTable(s, signs_from_colors(s, canonical_colors(s)))
+
+
+def flag_orient(s: Ccc):
+    """The canonical orientation built from flags: 2-color the flag graph
+    of the whole complex from its least flag."""
+    graph = flag_graph(s)
+    if not graph.flags:
+        raise NotOrientableError("complex has no flags")
+    return _color_or_raise(graph, "complex")
 
 
 def flipped_colors(colors, cells) -> dict:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cellcomplexes.cells import CellId, EMPTY, parse_cell_id
+from cellcomplexes.cells import CellId, EMPTY, _compare, parse_cell_id
 from cellcomplexes.errors import FormatError
 
 
@@ -58,6 +58,27 @@ def test_deep_labels_round_trip(side):
     assert str(again) == text and again == cid
 
 
+def _deep(side, depth, leaf="a"):
+    cid = CellId.of(leaf)
+    for i in range(depth):
+        other = CellId.of("b") if i % 2 else EMPTY
+        cid = CellId.cone(CellId.of("b"), cid) if side == "base" else CellId.cone(cid, other)
+    return cid
+
+
+@pytest.mark.parametrize("side", ["base", "apex"])
+def test_deep_labels_compare(side):
+    cid = _deep(side, 5000)
+    again = parse_cell_id(str(cid))
+    assert again is not cid
+    assert again == cid and not again != cid and hash(again) == hash(cid)
+    assert again <= cid and again >= cid and not again < cid
+    # the labels first differ at the innermost name: a < c
+    other = _deep(side, 5000, leaf="c")
+    assert cid < other and other > cid and cid != other
+    assert sorted([other, again]) == [cid, other]
+
+
 def test_names_reject_reserved_characters():
     for bad in ["", "0", "with space", "pa(ren", "semi;colon", "ha#sh"]:
         with pytest.raises(FormatError):
@@ -91,3 +112,21 @@ def test_round_trip_random(cid):
 @given(_ids(), _ids())
 def test_total_order(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
+
+
+def _nested_key(c):
+    # the order labels had as nested tuples: empty base, names, then cones
+    if c is EMPTY:
+        return ("a",)
+    if c.name is not None:
+        return ("b", c.name)
+    return ("c", _nested_key(c.apex), _nested_key(c.base))
+
+
+@given(_ids(3), _ids(3))
+def test_walked_order_is_the_nested_key_order(a, b):
+    ka, kb = _nested_key(a), _nested_key(b)
+    want = (ka > kb) - (ka < kb)
+    assert _compare(a, b) == want
+    assert _compare(b, a) == -want
+    assert (a < b, a <= b, a == b, a >= b, a > b) == (ka < kb, ka <= kb, ka == kb, ka >= kb, ka > kb)

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from cellcomplexes.complexes import (
     from_simplicial,
     product,
 )
+from cellcomplexes.fileformat import dumps, loads
 from cellcomplexes.errors import (
     CoverCycleError,
     DuplicateCellError,
@@ -99,6 +101,39 @@ def test_axiom4_counterexample():
     hits = [v for v in report.violations if v.axiom == "4"]
     assert hits and hits[0].cells == (C("v"), C("x"))
     assert "3 cells" in hits[0].message
+
+
+def test_far_apart_ranks_cost_nothing():
+    # one vertex below a cell of rank 10**7: only present ranks are visited
+    s = build_complex([(C("v"), 0), (C("x"), 10 ** 7)], [(C("v"), C("x"))])
+    t0 = time.perf_counter()
+    text = repr(s)
+    report = s.validate_axioms()
+    assert time.perf_counter() - t0 < 0.5
+    assert text == "<Ccc 2 cells (1,1)>"
+    assert [(v.axiom, v.cells, v.message) for v in report.violations] == [
+        ("2b", (C("v"), C("x")), "no cell of rank 1 lies between v and x"),
+        ("3", (C("x"),), "x has rank 10000000 but no faces")]
+
+
+def test_repr_counts_cells_by_rank():
+    assert repr(fixtures.torus(3, 3)) == "<Ccc 36 cells (9,18,9)>"
+    assert repr(fixtures.simplex(2)) == "<Ccc 7 cells (3,3,1)>"
+
+
+def test_deep_labels_build_and_dump():
+    # two vertices whose labels are 1500 cones deep and differ only at the
+    # innermost name: sorting them must not recurse
+    def deep(leaf):
+        cid = CellId.of(leaf)
+        for _ in range(1500):
+            cid = CellId.cone(CellId.of("p"), cid)
+        return cid
+
+    a, b, e = deep("a"), deep("b"), CellId.of("e")
+    s = build_complex([(e, 1), (b, 0), (a, 0)], [(b, e), (a, e)])
+    assert s.cells == (a, b, e)
+    assert loads(dumps(s)).cells == s.cells
 
 
 def test_axiom1_violation_reported():

@@ -18,7 +18,7 @@ from cellcomplexes.duality import (
     stokes_check,
     verify_duality,
 )
-from cellcomplexes.errors import NotManifoldLikeError
+from cellcomplexes.errors import CccError, NotManifoldLikeError
 from cellcomplexes.flags import SignTable, flag_graph, flags_of, orient
 
 C = CellId.of
@@ -42,6 +42,21 @@ def test_sign_law_on_every_pair(torus9, torus_dos):
     assert torus_dos.check_sign_law() == 72
     for (x, y), v in torus_dos.signs.signs.items():
         assert torus_dos.dual_signs.s(y, x) == v
+
+
+def test_incoherent_omega_is_refused(torus9):
+    # flipping one top cell's flags leaves an orientation of each closure,
+    # but its edges no longer cancel against the neighbouring cells
+    omega = orient(torus9)
+    x = torus9.cells_of_rank(2)[0]
+    flipped = flags.Orientation({f: -c if f[0] == x else c for f, c in omega.colors.items()})
+    with pytest.raises(CccError, match="same sign"):
+        dual_orientations(torus9, flipped)
+    # flipping one flag breaks the diamond rule inside its top cell
+    f = flags_of(torus9, x)[0]
+    broken = flags.Orientation({**omega.colors, f: -omega.colors[f]})
+    with pytest.raises(CccError, match="diamond rule"):
+        dual_orientations(torus9, broken)
 
 
 def test_dual_orientations_are_orientations(torus9, torus_dos):
@@ -203,7 +218,7 @@ def test_duality_builds_each_chain_complex_once(torus9, count_calls):
 def test_duality_colours_only_maximal_closures_again(torus9, count_calls):
     calls = count_calls((flags, "_two_color"), (duality, "_two_color"))
     verify_duality(torus9)
-    assert len(calls) == 82
+    assert len(calls) == 45
 
 
 def test_duality_torus(torus9):
