@@ -281,8 +281,10 @@ def free_cycle_generators(cc: ChainComplex, i: int) -> list:
     Kernel coordinates come from the Smith normal form of the outgoing
     boundary; the incoming boundary is rewritten in those coordinates and
     reduced again, leaving one representative per free factor.  A greedy
-    pass shrinks supports by boundary columns.
+    pass shrinks supports by boundary columns.  Degrees outside 0..dim have none.
     """
+    if not 0 <= i <= cc.dim:
+        return []
     n_i = len(cc.bases[i])
     d_out = cc.boundary_matrix(i)
     if d_out.size and i > 0:

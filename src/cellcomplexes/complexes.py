@@ -70,29 +70,45 @@ class ValidationReport:
 class Ccc:
     """A finite ranked poset; the candidate combinatorial cell complex.
 
-    Cells are kept in a canonical order (rank, then label), and the
-    relation ``y <= x`` is stored as one integer bitmask per cell over
-    that order.  Use :func:`build_complex`, :func:`from_simplicial`,
-    :func:`product` or the subdivision module to construct instances.
+    Cells are kept in a canonical order (rank, then label).  The order is
+    the closure of the relation given, which names cells below each cell:
+    covers suffice, and a cycle raises CoverCycleError.  It is stored as
+    one integer bitmask per cell over the canonical order.  Use
+    :func:`build_complex`, :func:`from_simplicial`, :func:`product` or the
+    subdivision module to construct instances.
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
                  "_faces", "_cofaces", "_rank_masks", "_dim")
 
-    def __init__(self, ranks: Mapping[CellId, int], strictly_below: Mapping[CellId, Iterable[CellId]]):
+    def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
         cells = sorted(ranks, key=lambda c: (ranks[c], c))
         index = {c: i for i, c in enumerate(cells)}
         n = len(cells)
+        rel = [[index[d] for d in relation.get(c, ())] for c in cells]
+        # a cell's closure is taken after those of the cells it names: a cell
+        # naming an unfinished one waits (-1) on the stack until they are done
         below = [0] * n
-        for c, i in index.items():
-            m = 1 << i
-            for d in strictly_below.get(c, ()):
-                m |= 1 << index[d]
-            below[i] = m
-        above = [0] * n
-        for i in range(n):
-            for j in _bits(below[i]):
-                above[j] |= 1 << i
+        done = []  # every cell after the cells it names
+        stack = list(range(n - 1, -1, -1))
+        while stack:
+            i = stack.pop()
+            todo = [j for j in rel[i] if below[j] <= 0]
+            if todo:
+                if any(below[j] for j in todo):
+                    raise CoverCycleError(f"the order relation has a cycle through {cells[i]}")
+                below[i] = -1
+                stack += [i, *todo]
+            elif below[i] <= 0:
+                m = 1 << i
+                for j in rel[i]:
+                    m |= below[j]
+                below[i] = m
+                done.append(i)
+        above = [1 << i for i in range(n)]
+        for i in reversed(done):
+            for j in rel[i]:
+                above[j] |= above[i]
         rank_masks: dict[int, int] = {}
         for i, c in enumerate(cells):
             rank_masks.setdefault(ranks[c], 0)
@@ -167,6 +183,16 @@ class Ccc:
 
     def cofaces(self, x: CellId) -> tuple:
         return self._cofaces[self._i(x)]
+
+    def covers(self, x: CellId) -> tuple:
+        """The cells below ``x`` with no cell strictly between: its faces,
+        when the axioms hold."""
+        i = self._i(x)
+        strict = self._below[i] ^ (1 << i)
+        under = 0
+        for j in _bits(strict):
+            under |= self._below[j] ^ (1 << j)
+        return tuple(self._cells[j] for j in _bits(strict & ~under))
 
     def maximal_cells(self) -> tuple:
         return tuple(c for i, c in enumerate(self._cells)
@@ -386,7 +412,7 @@ class Ccc:
 def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
     """Assemble a complex from (cell, rank) pairs and covering pairs.
 
-    The order is the reflexive-transitive closure of ``covers``.  The
+    The order is the closure of the relation given, here ``covers``.  The
     result is returned even if the axioms fail; run ``validate_axioms``
     separately.
     """
@@ -397,7 +423,7 @@ def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
         if r < 0:
             raise RankOrderError(f"cell {c} has negative rank {r}")
         ranks[c] = int(r)
-    cov = []
+    below: dict[CellId, list] = {c: [] for c in ranks}
     for lo, hi in covers:
         if lo not in ranks:
             raise UnknownCellError(f"cover references unknown cell {lo}")
@@ -408,12 +434,8 @@ def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
         if ranks[lo] >= ranks[hi]:
             raise RankOrderError(
                 f"cover ({lo}, {hi}) has rank {ranks[lo]} >= {ranks[hi]}")
-        cov.append((lo, hi))
-    sb: dict[CellId, set] = {c: set() for c in ranks}
-    for lo, hi in sorted(cov, key=lambda p: ranks[p[1]]):
-        sb[hi].add(lo)
-        sb[hi] |= sb[lo]
-    return Ccc(ranks, sb)
+        below[hi].append(lo)
+    return Ccc(ranks, below)
 
 
 def product(x: Ccc, y: Ccc) -> Ccc:
@@ -434,15 +456,11 @@ def product(x: Ccc, y: Ccc) -> Ccc:
             c = CellId.of(f"{a}*{b}")
             names[(a, b)] = c
             ranks[c] = x.rank(a) + y.rank(b)
-    sb = {}
-    for a in x.cells:
-        cla = x.closure([a])
-        for b in y.cells:
-            clb = y.closure([b])
-            c = names[(a, b)]
-            sb[c] = [names[(a2, b2)] for a2 in cla for b2 in clb
-                     if (a2, b2) != (a, b)]
-    return Ccc(ranks, sb)
+    cov_x = {a: x.covers(a) for a in x.cells}
+    cov_y = {b: y.covers(b) for b in y.cells}
+    below = {c: [names[(a2, b)] for a2 in cov_x[a]] + [names[(a, b2)] for b2 in cov_y[b]]
+             for (a, b), c in names.items()}
+    return Ccc(ranks, below)
 
 
 _SIMPLEX_SEP = "_"
@@ -466,8 +484,8 @@ def from_simplicial(simplices: Iterable[Iterable[str]]) -> Ccc:
             closed.update(frozenset(c) for c in combinations(sorted(vs), k))
     ids = {s: CellId.of(_SIMPLEX_SEP.join(sorted(s))) for s in closed}
     ranks = {ids[s]: len(s) - 1 for s in closed}
-    sb = {ids[s]: [ids[t] for t in closed if t < s] for s in closed}
-    return Ccc(ranks, sb)
+    below = {ids[s]: [ids[s - {v}] for v in s if len(s) > 1] for s in closed}
+    return Ccc(ranks, below)
 
 
 def simplex_vertices(x: CellId) -> tuple:

@@ -32,14 +32,9 @@ def dump(s: Ccc, fp: IO[str]) -> None:
 
 
 def covering_pairs(s: Ccc):
-    """Pairs y < x with nothing strictly between, in canonical order: y is
-    in the closure of x but in no closure of another cell below x."""
-    out = []
-    for x in s.cells:
-        strict = s.closure([x]) - {x}
-        below = set().union(*(s.closure([z]) - {z} for z in strict))
-        out += ((y, x) for y in sorted(strict - below))
-    return out
+    """Pairs y < x with nothing strictly between, x in canonical order and
+    the y of each x sorted by label."""
+    return [(y, x) for x in s.cells for y in sorted(s.covers(x))]
 
 
 def loads(text: str) -> Ccc:

@@ -29,9 +29,9 @@ from .cells import CellId, EMPTY
 from .chains import ChainComplex, HomologyResult, chain_complex, homology_of
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
-from .flags import SignTable, flags_of, permutation_orientation
-# Unused here; kept because bench/tracing.py patches this name.
-from .flags import _derive_signs  # noqa: F401
+from .flags import SignTable, flags_of
+# Unused here; kept because bench/tracing.py patches these names.
+from .flags import _derive_signs, permutation_orientation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -98,38 +98,29 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
     if s.rank(x) == 0:
         raise ValueError(f"stellar subdivision at the vertex {x} is not supported")
     up = s.up_set(x)
-    base_cells = s.closure(up) - up  # closed: the cone bases
+    base_cells = s.open_star(x)  # closed: the cone bases
     cone = {y: CellId.cone(x, y) for y in base_cells}
     cone[EMPTY] = CellId.cone(x, EMPTY)
     for c in cone.values():
         if c in s:
             raise CccError(f"cone label {c} collides with an existing cell")
 
-    ranks = {}
-    strictly_below = {}
     old = [z for z in s.cells if z not in up]
-    for z in old:
-        ranks[z] = s.rank(z)
-        strictly_below[z] = [w for w in s.closure([z]) if w != z]
+    ranks = {z: s.rank(z) for z in old}
+    below = {z: s.covers(z) for z in old}
+    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
     ranks[cone[EMPTY]] = 0
-    strictly_below[cone[EMPTY]] = []
+    below[cone[EMPTY]] = ()
     for y in base_cells:
         c = cone[y]
         ranks[c] = s.rank(y) + 1
-        cl = s.closure([y])
-        strictly_below[c] = (list(cl)
-                             + [cone[z] for z in cl if z != y]
-                             + [cone[EMPTY]])
-    out = Ccc(ranks, strictly_below)
-
-    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
-    for y in base_cells:
-        c = cone[y]
+        below[c] = [y, cone[EMPTY]] + [cone[z] for z in below[y]]
         table[(c, y)] = 1
         for z in s.faces(y):
             table[(c, cone[z])] = -signs.s(y, z)
         if s.rank(y) == 0:
             table[(c, cone[EMPTY])] = -signs.vertex_signs[y]
+    out = Ccc(ranks, below)
     new_signs = SignTable(out, table, signs.vertex_signs)
 
     result = StellarResult(
@@ -232,32 +223,23 @@ def barycentric(s: Ccc):
     Members of a chain are ranked by their rank in ``s``, and removing the
     i-th largest member carries sign (-1)^i.
     """
-    chains_by_top: dict = {c: [] for c in s.cells}
+    chains_by_top: dict = {}
     for c in s.cells:  # ascending rank order
-        mine = [(c,)]
-        for b in s.closure([c]):
-            if b != c:
-                mine.extend(ch + (c,) for ch in chains_by_top[b])
-        chains_by_top[c] = mine
+        chains_by_top[c] = [(c,)] + [ch + (c,) for b in s.closure([c]) if b != c
+                                     for ch in chains_by_top[b]]
     all_chains = [ch for per in chains_by_top.values() for ch in per]
 
     label = {ch: cell_of_chain(s, ch) for ch in all_chains}
     ranks = {label[ch]: len(ch) - 1 for ch in all_chains}
     if len(ranks) != len(all_chains):
         raise CccError("chain labels collide; complex already uses them")
-    strictly_below = {}
-    for ch in all_chains:
-        subs = []
-        for k in range(1, len(ch)):
-            subs.extend(label[sub] for sub in combinations(ch, k))
-        strictly_below[label[ch]] = subs
-    out = Ccc(ranks, strictly_below)
-
-    members = lambda cid: tuple(sorted(chain_of_cell(s, cid),
-                                       key=lambda c: s.rank(c), reverse=True))
-    signs = {}
-    for c in out.cells:
-        signs.update(permutation_orientation(out, c, members))
+    # the face without ch[k] drops the (len(ch) - 1 - k)-th largest member
+    signs = {(label[ch], label[ch[:k] + ch[k + 1:]]): (-1) ** (len(ch) - 1 - k)
+             for ch in all_chains if len(ch) > 1 for k in range(len(ch))}
+    below = {c: [] for c in ranks}
+    for c, face in signs:
+        below[c].append(face)
+    out = Ccc(ranks, below)
     return out, SignTable(out, signs)
 
 

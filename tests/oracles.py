@@ -10,7 +10,9 @@ every flag, built flag by flag (removal permutations, cone pull-backs,
 dual splicing, 2-colorings of flag graphs), and incidence signs are read
 off them; chain boundaries walk faces and cofaces through the sign table
 instead of reading the boundary matrices, and the boundary adjunction is
-checked pair by pair.
+checked pair by pair; orders are given by every cell strictly below each
+cell (subsets, products of closures, sub-chains), closed by repeated
+composition, and covers are read off closures of closures.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from cellcomplexes.flags import (
     flags_of,
     orient_cell,
 )
-from cellcomplexes.subdivision import chain_of_cell
+from cellcomplexes.subdivision import cell_of_chain, chain_of_cell
 
 
 # -- simplicial homology ----------------------------------------------------
@@ -115,6 +117,70 @@ def brute_flag_adjacency(flags):
             if sum(1 for p, q in zip(a, b) if p != q) == 1:
                 edges.add((a, b))
     return edges
+
+
+# -- orders and covers -------------------------------------------------------
+
+
+def transitive_closure(relation) -> dict:
+    """Every cell reachable from each key of ``relation`` through it (not
+    the key itself unless on a cycle), by composing until nothing changes."""
+    out = {c: set(v) for c, v in relation.items()}
+    changed = True
+    while changed:
+        changed = False
+        for c, below in out.items():
+            more = set().union(*(out.get(d, set()) for d in below)) - below
+            if more:
+                below |= more
+                changed = True
+    return out
+
+
+def closed_relation(s: Ccc) -> dict:
+    """Every cell strictly below each cell of ``s``."""
+    return {x: s.closure([x]) - {x} for x in s.cells}
+
+
+def closure_covers(s: Ccc, x: CellId) -> set:
+    """Cells strictly below ``x`` that lie in no closure of another cell
+    strictly below ``x``."""
+    strict = s.closure([x]) - {x}
+    return strict - set().union(*(s.closure([z]) - {z} for z in strict))
+
+
+def simplicial_order(simplices):
+    """Ranks and strictly-below lists of the simplicial complex that
+    ``simplices`` generate: every non-empty subset, ordered by inclusion."""
+    closed = {frozenset(c) for s in simplices
+              for k in range(1, len(set(s)) + 1) for c in combinations(sorted(set(s)), k)}
+    ids = {s: CellId.of("_".join(sorted(s))) for s in closed}
+    return ({ids[s]: len(s) - 1 for s in closed},
+            {ids[s]: [ids[t] for t in closed if t < s] for s in closed})
+
+
+def product_order(x: Ccc, y: Ccc):
+    """Ranks and strictly-below lists of ``x`` times ``y``: pairs of cells
+    of the two closures."""
+    name = lambda a, b: CellId.of(f"{a}*{b}")
+    ranks = {name(a, b): x.rank(a) + y.rank(b) for a in x.cells for b in y.cells}
+    below = {name(a, b): [name(a2, b2) for a2 in x.closure([a]) for b2 in y.closure([b])
+                          if (a2, b2) != (a, b)]
+             for a in x.cells for b in y.cells}
+    return ranks, below
+
+
+def barycentric_order(s: Ccc):
+    """Ranks and strictly-below lists of the chains of ``s``: every proper
+    non-empty sub-chain, labelled through the library's chain labels."""
+    chains = frontier = [(c,) for c in s.cells]
+    while frontier:
+        frontier = [ch + (c,) for ch in frontier for c in s.cells if s.lt(ch[-1], c)]
+        chains = chains + frontier
+    label = {ch: cell_of_chain(s, ch) for ch in chains}
+    return ({label[ch]: len(ch) - 1 for ch in chains},
+            {label[ch]: [label[sub] for k in range(1, len(ch)) for sub in combinations(ch, k)]
+             for ch in chains})
 
 
 # -- disjoint-points stellar subdivision ------------------------------------

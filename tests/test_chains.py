@@ -380,3 +380,8 @@ def test_sphere_h2_generator(tetra_boundary, tetra_boundary_signs):
     gens = free_cycle_generators(cc, 2)
     assert len(gens) == 1
     assert sorted(abs(x) for x in gens[0]) == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("degree", [-2, -1, 3, 4])
+def test_no_generators_outside_the_degrees(torus9, torus9_signs, degree):
+    assert free_cycle_generators(chain_complex(torus9, torus9_signs), degree) == []
