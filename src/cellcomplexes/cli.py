@@ -225,13 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return IO_FAILURE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return IO_FAILURE
-    except ValueError as e:
+    except (FormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return IO_FAILURE
     except CccError as e:

@@ -204,9 +204,6 @@ class Orientation:
     def sign(self, flag: Flag) -> int:
         return self.colors[flag]
 
-    def flipped(self) -> "Orientation":
-        return Orientation({f: -c for f, c in self.colors.items()})
-
     def __eq__(self, other):
         return isinstance(other, Orientation) and dict(self.colors) == dict(other.colors)
 

@@ -20,13 +20,12 @@ chain carries sign (-1)^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
 from .cells import CellId, EMPTY
-from .chains import ChainComplex, HomologyResult, chain_complex, homology_of
+from .chains import Chain, ChainComplex, HomologyResult, chain_complex, homology_of
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, flags_of
@@ -58,6 +57,8 @@ class ChainMap:
 
     def apply(self, chain):
         d = chain.degree
+        if not 0 <= d < len(self.mats):
+            return Chain(d)
         vec = self.matrix(d) @ self.source.vector(chain)
         return self.target.from_vector(vec, d)
 
@@ -86,6 +87,51 @@ def identity_chain_map(cc: ChainComplex) -> ChainMap:
 # -- stellar subdivision ----------------------------------------------------
 
 
+def _subdivide(s: Ccc, points, signs: SignTable):
+    """Stellar subdivision at ``points``, whose up-sets must be pairwise
+    disjoint, so that the order of the points is immaterial.
+
+    Returns the complex, its sign table, each point's cones (base cell, or
+    EMPTY for the new vertex, -> cone id) and the point above each removed
+    cell.
+    """
+    above, cones = {}, {}
+    for x in points:
+        if x not in s:
+            raise UnknownCellError(f"cell {x} is not in the complex")
+        if s.rank(x) == 0:
+            raise ValueError(f"stellar subdivision at the vertex {x} is not supported")
+        for z in s.up_set(x):
+            if above.setdefault(z, x) != x:
+                raise CccError(f"up-sets of {above[z]} and {x} intersect")
+        cone = {y: CellId.cone(x, y) for y in s.open_star(x)}  # closed: the bases
+        cone[EMPTY] = CellId.cone(x, EMPTY)
+        for c in cone.values():
+            if c in s:
+                raise CccError(f"cone label {c} collides with an existing cell")
+        cones[x] = cone
+
+    old = [z for z in s.cells if z not in above]
+    ranks = {z: s.rank(z) for z in old}
+    below = {z: s.covers(z) for z in old}
+    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
+    for cone in cones.values():
+        ranks[cone[EMPTY]] = 0
+        below[cone[EMPTY]] = ()
+        for y, c in cone.items():
+            if y is EMPTY:
+                continue
+            ranks[c] = s.rank(y) + 1
+            below[c] = [y, cone[EMPTY]] + [cone[z] for z in below[y]]
+            table[(c, y)] = 1
+            for z in s.faces(y):
+                table[(c, cone[z])] = -signs.s(y, z)
+            if s.rank(y) == 0:
+                table[(c, cone[EMPTY])] = -signs.vertex_signs[y]
+    out = Ccc(ranks, below)
+    return out, SignTable(out, table, signs.vertex_signs), cones, above
+
+
 def stellar(s: Ccc, x: CellId, signs: SignTable):
     """Subdivide at ``x`` (rank >= 1) and transport orientations.
 
@@ -93,44 +139,14 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
     complex.  Old cells keep their signs and the cones get theirs by the
     cone rule, so every cone is oriented like its base.
     """
-    if x not in s:
-        raise UnknownCellError(f"cell {x} is not in the complex")
-    if s.rank(x) == 0:
-        raise ValueError(f"stellar subdivision at the vertex {x} is not supported")
-    up = s.up_set(x)
-    base_cells = s.open_star(x)  # closed: the cone bases
-    cone = {y: CellId.cone(x, y) for y in base_cells}
-    cone[EMPTY] = CellId.cone(x, EMPTY)
-    for c in cone.values():
-        if c in s:
-            raise CccError(f"cone label {c} collides with an existing cell")
-
-    old = [z for z in s.cells if z not in up]
-    ranks = {z: s.rank(z) for z in old}
-    below = {z: s.covers(z) for z in old}
-    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
-    ranks[cone[EMPTY]] = 0
-    below[cone[EMPTY]] = ()
-    for y in base_cells:
-        c = cone[y]
-        ranks[c] = s.rank(y) + 1
-        below[c] = [y, cone[EMPTY]] + [cone[z] for z in below[y]]
-        table[(c, y)] = 1
-        for z in s.faces(y):
-            table[(c, cone[z])] = -signs.s(y, z)
-        if s.rank(y) == 0:
-            table[(c, cone[EMPTY])] = -signs.vertex_signs[y]
-    out = Ccc(ranks, below)
-    new_signs = SignTable(out, table, signs.vertex_signs)
-
-    result = StellarResult(
+    out, new_signs, cones, above = _subdivide(s, [x], signs)
+    return StellarResult(
         complex=out,
-        old_cells=frozenset(old),
-        new_cells=dict(cone),
+        old_cells=frozenset(s.cells) - above.keys(),
+        new_cells=cones[x],
         origin_complex=s,
         origin_cell=x,
-    )
-    return result, new_signs
+    ), new_signs
 
 
 def stellar_sequence(s: Ccc, points: Iterable[CellId], signs: SignTable):
@@ -149,27 +165,26 @@ def stellar_sequence(s: Ccc, points: Iterable[CellId], signs: SignTable):
 def phi(s: Ccc, x: CellId, signs: SignTable) -> ChainMap:
     """The subdivision chain map: identity off the up-set of ``x``, cone
     expansion on it."""
-    return _stellar_map(chain_complex(s, signs), x)
+    return _stellar_map(chain_complex(s, signs), [x])
 
 
-def _stellar_map(src: ChainComplex, x: CellId) -> ChainMap:
-    """:func:`phi` out of an existing chain complex; the target is the
-    chain complex of the subdivision."""
+def _stellar_map(src: ChainComplex, points) -> ChainMap:
+    """:func:`phi` at every one of ``points`` (pairwise disjoint up-sets) out
+    of an existing chain complex; the target is the chain complex of the
+    subdivision."""
     s, signs = src.complex, src.signs
-    res, new_signs = stellar(s, x, signs)
-    tgt = chain_complex(res.complex, new_signs)
-    up = s.up_set(x)
+    out, new_signs, cones, above = _subdivide(s, points, signs)
+    tgt = chain_complex(out, new_signs)
     mats = []
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
         for j, w in enumerate(src.bases[d]):
-            if w not in up:
+            if w not in above:
                 m[tgt.index[d][w], j] = 1
             else:
                 for y in s.faces(w):
-                    if y in up:
-                        continue
-                    m[tgt.index[d][res.new_cells[y]], j] = signs.s(w, y)
+                    if y not in above:
+                        m[tgt.index[d][cones[above[w]][y]], j] = signs.s(w, y)
         mats.append(m)
     return ChainMap(src, tgt, mats)
 
@@ -216,6 +231,15 @@ def chain_of_cell(s: Ccc, cid: CellId):
     return chain
 
 
+def _chains(s: Ccc) -> list:
+    """Every non-empty ascending chain of cells of ``s``."""
+    chains_by_top: dict = {}
+    for c in s.cells:  # ascending rank order
+        chains_by_top[c] = [(c,)] + [ch + (c,) for b in s.closure([c]) if b != c
+                                     for ch in chains_by_top[b]]
+    return [ch for per in chains_by_top.values() for ch in per]
+
+
 def barycentric(s: Ccc):
     """The complex of non-empty chains, with alternating-sign orientations.
 
@@ -223,12 +247,7 @@ def barycentric(s: Ccc):
     Members of a chain are ranked by their rank in ``s``, and removing the
     i-th largest member carries sign (-1)^i.
     """
-    chains_by_top: dict = {}
-    for c in s.cells:  # ascending rank order
-        chains_by_top[c] = [(c,)] + [ch + (c,) for b in s.closure([c]) if b != c
-                                     for ch in chains_by_top[b]]
-    all_chains = [ch for per in chains_by_top.values() for ch in per]
-
+    all_chains = _chains(s)
     label = {ch: cell_of_chain(s, ch) for ch in all_chains}
     ranks = {label[ch]: len(ch) - 1 for ch in all_chains}
     if len(ranks) != len(all_chains):
@@ -284,34 +303,23 @@ class BaryTower:
 def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
     """Subdivide at every cell of rank >= 1 in decreasing rank order.
 
-    Before each stage the up-sets of that stage's subdivision points are
-    checked to be pairwise disjoint, which makes the within-stage order
-    immaterial; every point must still be alive when its stage arrives.
-    The final complex carries the chain labels of the barycentric
-    subdivision, and :func:`compare_phi_bigphi` checks that it equals it.
+    Each stage is one stellar subdivision at all cells of its rank at once:
+    their up-sets are pairwise disjoint (checked as the removed cells are
+    collected), so one complex, sign table, chain complex and chain map
+    are built per stage.  The final complex carries the chain labels of
+    the barycentric subdivision, and :func:`compare_phi_bigphi` checks
+    that it equals it.
     """
     cc = chain_complex(s, signs)
     total = identity_chain_map(cc)
     stages = []
     for r in range(s.dim, 0, -1):
-        points = list(s.cells_of_rank(r))
-        cur = cc.complex
-        for t in points:
-            if t not in cur:
-                raise CccError(f"subdivision point {t} died before its stage")
-        for a, b in combinations(points, 2):
-            if cur.up_set(a) & cur.up_set(b):
-                raise CccError(
-                    f"up-sets of {a} and {b} intersect before stage {r}")
-        stage_map = None
-        for t in points:
-            step = _stellar_map(cc, t)  # its target is the next step's source
-            stage_map = step if stage_map is None else stage_map.then(step)
-            cc = step.target
-        stages.append(TowerStage(rank=r, points=tuple(points), complex=cc.complex,
-                                 signs=cc.signs, step_map=stage_map))
-        if stage_map is not None:
-            total = total.then(stage_map)
+        points = s.cells_of_rank(r)
+        step = _stellar_map(cc, points)
+        cc = step.target
+        stages.append(TowerStage(rank=r, points=points, complex=cc.complex,
+                                 signs=cc.signs, step_map=step))
+        total = total.then(step)
     iso = {c: chain_of_cell(s, c) for c in cc.complex.cells}
     return BaryTower(source=s, stages=stages, final=cc.complex,
                      final_signs=cc.signs, phi_total=total, iso=iso)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import disjoint_stellar_description
 
 from cellcomplexes import fixtures, subdivision
 from cellcomplexes.cells import CellId, EMPTY
-from cellcomplexes.chains import chain_complex, homology, homology_of, is_acyclic
+from cellcomplexes.chains import Chain, chain_complex, homology, homology_of, is_acyclic
 from cellcomplexes.complexes import euler_characteristic
 from cellcomplexes.errors import CccError, UnknownCellError
 from cellcomplexes.flags import flag_graph, orient_all_cells
@@ -200,6 +201,12 @@ def test_phi_cone_expansion(torus9, torus9_signs):
         assert col[i] == torus9_signs.s(w, y)
 
 
+def test_phi_is_zero_outside_its_degrees(torus9, torus9_signs):
+    f = phi(torus9, C("h00"), torus9_signs)
+    for d in (3, -1):
+        assert f.apply(Chain(d, {})) == Chain(d)
+
+
 @pytest.mark.parametrize("name", ["two_triangles", "torus9", "tetrahedron_boundary",
                                   "square_pentagon", "mobius3"])
 def test_phi_is_a_chain_map_everywhere(name):
@@ -310,13 +317,31 @@ def test_tower_torus(torus9, torus9_signs):
     assert tower.iso[deep] == (C("v00"), C("h00"), C("f00"))
 
 
-def test_tower_builds_one_chain_complex_per_step(torus9, torus9_signs, count_calls):
-    calls = count_calls((subdivision, "chain_complex"))
+def test_tower_builds_one_chain_complex_per_stage(torus9, torus9_signs, count_calls):
+    calls = count_calls((subdivision, "chain_complex"), (subdivision, "Ccc"))
     tower = barycentric_via_stellar(torus9, torus9_signs)
-    assert len(calls) == 1 + 27  # the source, then one per stellar step
+    assert calls.count("chain_complex") == 1 + 2  # the source, then one per stage
+    assert calls.count("Ccc") == 2
     first, second = tower.stages
     assert second.step_map.source is first.step_map.target
     assert tower.phi_total.target is second.step_map.target
+
+
+@pytest.mark.parametrize("name,args", [("torus9", ()), ("tetrahedron_boundary", ()),
+                                       ("projective_plane", ()), ("simplex", (3,))])
+def test_tower_stages_match_disjoint_description(name, args):
+    s = fixtures.fixture(name, *args)
+    prev = s
+    for stage in barycentric_via_stellar(s, orient_all_cells(s)).stages:
+        assert stage.points == s.cells_of_rank(stage.rank)
+        assert stage.complex == disjoint_stellar_description(prev, stage.points)
+        prev = stage.complex
+
+
+def test_overlapping_up_sets_in_one_step_raise(torus9, torus9_signs):
+    e, f = sorted(torus9.faces(C("f00")))[:2]  # two edges of one square
+    with pytest.raises(CccError, match=re.escape(f"up-sets of {e} and {f} intersect")):
+        subdivision._stellar_map(chain_complex(torus9, torus9_signs), [e, f])
 
 
 def test_tower_one_dimensional_cycle():
