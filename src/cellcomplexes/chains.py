@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cells import CellId
+from .cells import EMPTY, CellId
 from .complexes import Ccc
 from .errors import EmptyComplexError, UnknownCellError
 from .flags import SignTable
@@ -74,16 +74,14 @@ class ChainComplex:
         self.dim = complex.dim
         self.bases = [list(complex.cells_of_rank(r)) for r in range(self.dim + 1)]
         self.index = [{c: i for i, c in enumerate(b)} for b in self.bases]
-        mats = [np.zeros((1 if augmented else 0, len(self.bases[0])), dtype=np.int64)]
-        if augmented:
-            mats[0][0, :] = 1
-        for r in range(1, self.dim + 1):
-            m = np.zeros((len(self.bases[r - 1]), len(self.bases[r])), dtype=np.int64)
-            for j, x in enumerate(self.bases[r]):
-                for y in complex.faces(x):
-                    m[self.index[r - 1][y], j] = signs.s(x, y)
-            mats.append(m)
-        self.mats = mats
+
+        def image(x):
+            if augmented and complex.rank(x) == 0:
+                return {EMPTY: 1}
+            return {y: signs.s(x, y) for y in complex.faces(x)}
+
+        rows = [{EMPTY: 0} if augmented else {}] + self.index
+        self.mats = [dense_matrix(rows[r], self.bases[r], image) for r in range(self.dim + 1)]
 
     def boundary_matrix(self, i: int) -> np.ndarray:
         if 0 <= i <= self.dim:
@@ -101,16 +99,19 @@ class ChainComplex:
             degree = degrees.pop()
         return Chain(degree, items)
 
-    def vector(self, chain: Chain) -> np.ndarray:
-        v = np.zeros(len(self.bases[chain.degree]), dtype=np.int64)
-        for c, coeff in chain.coeffs.items():
-            if self.complex.rank(c) != chain.degree:
-                raise ValueError(f"cell {c} does not have rank {chain.degree}")
-            v[self.index[chain.degree][c]] = coeff
-        return v
-
     def from_vector(self, vec, degree: int) -> Chain:
         return Chain(degree, {c: int(v) for c, v in zip(self.bases[degree], vec)})
+
+
+def dense_matrix(rows: Mapping, columns, image) -> np.ndarray:
+    """Integer matrix whose column ``j`` holds ``image(columns[j])``, a
+    mapping from cells to coefficients, each cell at row ``rows[cell]``.
+    Every boundary matrix and chain-map matrix is written here."""
+    m = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for j, x in enumerate(columns):
+        for y, v in image(x).items():
+            m[rows[y], j] = v
+    return m
 
 
 def chain_complex(s: Ccc, signs: SignTable, augmented: bool = False) -> ChainComplex:

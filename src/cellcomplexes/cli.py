@@ -117,6 +117,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_subdivide(args) -> int:
+    if args.tower_dir and not args.bary_via_stellar:
+        raise ValueError("--tower-dir needs --bary-via-stellar")
     s = _read(args.file)
     signs = orient_all_cells(s)
     if args.at:

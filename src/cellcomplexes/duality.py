@@ -313,6 +313,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
     """Exercise the boundary-adjunction identity on every complementary
     basis pair and on random integer chains, plus the integral form
     against cochains."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, not {trials}")
     star = StarMap(dual_orientations(s))
     cc, cd = star.source, star.target
     n = s.dim

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .cells import CellId, EMPTY
-from .chains import Chain, ChainComplex, HomologyResult, chain_complex, homology_of
+from .chains import (Chain, ChainComplex, HomologyResult, chain_complex, dense_matrix,
+                     homology_of)
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, flags_of
@@ -43,45 +42,54 @@ class StellarResult:
 
 
 class ChainMap:
-    """Degree-preserving integer matrices intertwining two boundary operators."""
+    """A degree-preserving map of chain groups that intertwines two boundary
+    operators, stored as the image of each source cell: a dict from target
+    cell to nonzero coefficient."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, mats):
+    def __init__(self, source: ChainComplex, target: ChainComplex, images: dict):
         self.source = source
         self.target = target
-        self.mats = mats  # per degree: (len(target.bases[d]), len(source.bases[d]))
+        self.images = images
 
-    def matrix(self, d: int) -> np.ndarray:
-        if 0 <= d < len(self.mats):
-            return self.mats[d]
-        return np.zeros((0, 0), dtype=np.int64)
+    def matrix(self, d: int):
+        """Dense (len(target.bases[d]), len(source.bases[d])) array; 0 x 0
+        outside degrees 0..dim."""
+        if not 0 <= d <= self.source.dim:
+            return dense_matrix({}, [], self.images.get)
+        return dense_matrix(self.target.index[d], self.source.bases[d], self.images.get)
 
-    def apply(self, chain):
+    def apply(self, chain: Chain) -> Chain:
         d = chain.degree
-        if not 0 <= d < len(self.mats):
+        if not 0 <= d <= self.source.dim:
             return Chain(d)
-        vec = self.matrix(d) @ self.source.vector(chain)
-        return self.target.from_vector(vec, d)
+        for c in chain.coeffs:
+            if self.source.complex.rank(c) != d:
+                raise ValueError(f"cell {c} does not have rank {d}")
+        return Chain(d, _push(chain.coeffs, self.images))
 
     def is_chain_map(self) -> bool:
         """Does target-boundary compose with this as this composes with source-boundary?"""
         for d in range(1, max(self.source.dim, self.target.dim) + 1):
             left = self.target.boundary_matrix(d) @ self.matrix(d)
             right = self.matrix(d - 1) @ self.source.boundary_matrix(d)
-            if left.shape != right.shape or not np.array_equal(left, right):
+            if left.shape != right.shape or (left != right).any():
                 return False
         return True
 
     def then(self, nxt: "ChainMap") -> "ChainMap":
         if self.target.bases != nxt.source.bases:
             raise ValueError("chain maps do not compose: bases differ")
-        mats = [nxt.matrix(d) @ self.matrix(d)
-                for d in range(len(self.mats))]
-        return ChainMap(self.source, nxt.target, mats)
+        images = {x: _push(img, nxt.images) for x, img in self.images.items()}
+        return ChainMap(self.source, nxt.target, images)
 
 
-def identity_chain_map(cc: ChainComplex) -> ChainMap:
-    mats = [np.eye(len(b), dtype=np.int64) for b in cc.bases]
-    return ChainMap(cc, cc, mats)
+def _push(coeffs: dict, images: dict) -> dict:
+    """The combination of images that ``coeffs`` weights, zeros dropped."""
+    out: dict = {}
+    for x, a in coeffs.items():
+        for y, b in images[x].items():
+            out[y] = out.get(y, 0) + a * b
+    return {y: v for y, v in out.items() if v}
 
 
 # -- stellar subdivision ----------------------------------------------------
@@ -175,18 +183,10 @@ def _stellar_map(src: ChainComplex, points) -> ChainMap:
     s, signs = src.complex, src.signs
     out, new_signs, cones, above = _subdivide(s, points, signs)
     tgt = chain_complex(out, new_signs)
-    mats = []
-    for d in range(s.dim + 1):
-        m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
-        for j, w in enumerate(src.bases[d]):
-            if w not in above:
-                m[tgt.index[d][w], j] = 1
-            else:
-                for y in s.faces(w):
-                    if y not in above:
-                        m[tgt.index[d][cones[above[w]][y]], j] = signs.s(w, y)
-        mats.append(m)
-    return ChainMap(src, tgt, mats)
+    images = {w: {w: 1} for w in s.cells if w not in above}
+    for w, x in above.items():
+        images[w] = {cones[x][y]: signs.s(w, y) for y in s.faces(w) if y not in above}
+    return ChainMap(src, tgt, images)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -270,15 +270,9 @@ def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
     bcc, bsigns = target
     src = chain_complex(s, signs)
     tgt = chain_complex(bcc, bsigns)
-    mats = []
-    for d in range(s.dim + 1):
-        m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
-        for j, x in enumerate(src.bases[d]):
-            for flag in flags_of(s, x):
-                lbl = cell_of_chain(s, tuple(reversed(flag)))
-                m[tgt.index[d][lbl], j] = signs.color(flag)
-        mats.append(m)
-    return ChainMap(src, tgt, mats)
+    images = {x: {cell_of_chain(s, tuple(reversed(flag))): signs.color(flag)
+                  for flag in flags_of(s, x)} for x in s.cells}
+    return ChainMap(src, tgt, images)
 
 
 @dataclass
@@ -311,7 +305,7 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
     that it equals it.
     """
     cc = chain_complex(s, signs)
-    total = identity_chain_map(cc)
+    total = ChainMap(cc, cc, {x: {x: 1} for x in s.cells})
     stages = []
     for r in range(s.dim, 0, -1):
         points = s.cells_of_rank(r)
@@ -339,17 +333,13 @@ def compare_phi_bigphi(s: Ccc, signs: SignTable):
     flag_map = big_phi(s, signs, target=(bcc, bsigns))
     eps = []
     for d in range(s.dim + 1):
-        a = flag_map.matrix(d)
-        b = tower.phi_total.matrix(d)
-        nz = np.argwhere(b != 0)
-        if nz.size == 0:
-            if a.any():
-                raise CccError(f"maps differ in degree {d}")
-            eps.append(1)
-            continue
-        i, j = nz[0]
-        e = int(a[i, j]) // int(b[i, j]) if b[i, j] else 0
-        if e not in (1, -1) or not np.array_equal(a, e * b):
+        cells = flag_map.source.bases[d]
+        a = {(x, y): v for x in cells for y, v in flag_map.images[x].items()}
+        b = {(x, y): v for x in cells for y, v in tower.phi_total.images[x].items()}
+        if a and not b:
+            raise CccError(f"maps differ in degree {d}")
+        e = 1 if a == b else -1
+        if a != {k: e * v for k, v in b.items()}:
             raise CccError(f"no uniform sign relates the maps in degree {d}")
         eps.append(e)
     return eps

@@ -10,15 +10,18 @@ every flag, built flag by flag (removal permutations, cone pull-backs,
 dual splicing, 2-colorings of flag graphs), and incidence signs are read
 off them; chain boundaries walk faces and cofaces through the sign table
 instead of reading the boundary matrices, and the boundary adjunction is
-checked pair by pair; orders are given by every cell strictly below each
-cell (subsets, products of closures, sub-chains), closed by repeated
-composition, and covers are read off closures of closures.
+checked pair by pair; chain maps into subdivisions are dense matrices
+filled entry by entry and composed by matrix products; orders are given
+by every cell strictly below each cell (subsets, products of closures,
+sub-chains), closed by repeated composition, and covers are read off
+closures of closures.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -391,3 +394,50 @@ def basis_adjoint_residuals(cc, cd) -> int:
                 dz = face_walk_boundary(Chain(n - i, {z: 1}), cd).coeffs
                 bad += dx.get(z, 0) != dz.get(x, 0)
     return bad
+
+
+# -- dense chain maps ----------------------------------------------------------
+
+
+def dense_stellar_map(src, tgt, points) -> list:
+    """Per-degree matrices of the subdivision chain map at ``points``: a
+    surviving cell goes to itself, a removed cell to the signed cones over
+    its surviving faces, with apex the point below it."""
+    s, signs = src.complex, src.signs
+    mats = []
+    for d in range(s.dim + 1):
+        m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
+        for j, w in enumerate(src.bases[d]):
+            if w in tgt.complex:
+                m[tgt.index[d][w], j] = 1
+                continue
+            x = next(p for p in points if w in s.up_set(p))
+            for y in s.faces(w):
+                if y in tgt.complex:
+                    m[tgt.index[d][CellId.cone(x, y)], j] = signs.s(w, y)
+        mats.append(m)
+    return mats
+
+
+def dense_flag_sum_map(src, tgt) -> list:
+    """Per-degree matrices of the flag-sum map into the barycentric
+    subdivision: a cell goes to its flags, each with its colour."""
+    s, signs = src.complex, src.signs
+    mats = []
+    for d in range(s.dim + 1):
+        m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
+        for j, x in enumerate(src.bases[d]):
+            for flag in flags_of(s, x):
+                m[tgt.index[d][cell_of_chain(s, tuple(reversed(flag)))], j] = \
+                    signs.color(flag)
+        mats.append(m)
+    return mats
+
+
+def dense_identity(cc) -> list:
+    return [np.eye(len(b), dtype=np.int64) for b in cc.bases]
+
+
+def dense_compose(first, second) -> list:
+    """``first`` followed by ``second``, degree by degree."""
+    return [b @ a for a, b in zip(first, second)]

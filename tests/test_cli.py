@@ -228,6 +228,16 @@ def test_subdivide_tower_with_manifest(torus_file, tmp_path):
     assert len(final) == 216
 
 
+@pytest.mark.parametrize("mode", [["--at", "h00"], ["--barycentric"]])
+def test_tower_dir_needs_bary_via_stellar(torus_file, tmp_path, capsys, mode):
+    d, dest = tmp_path / "tower", tmp_path / "out.ccc"
+    code, out = run_cli(["subdivide", torus_file, *mode, "--tower-dir", str(d),
+                         "-o", str(dest)])
+    assert code == 2 and out == ""
+    assert "error: --tower-dir needs --bary-via-stellar" in capsys.readouterr().err
+    assert not d.exists() and not dest.exists()
+
+
 def test_tower_and_barycentric_agree(torus_file):
     _, a = run_cli(["subdivide", torus_file, "--barycentric"])
     _, b = run_cli(["subdivide", torus_file, "--bary-via-stellar"])

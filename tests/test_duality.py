@@ -290,6 +290,11 @@ def test_stokes_tetra_boundary(tetra_boundary):
     assert stokes_check(tetra_boundary, trials=40).passed
 
 
+def test_stokes_rejects_negative_trials(torus9):
+    with pytest.raises(ValueError, match="trials must be non-negative, not -3"):
+        stokes_check(torus9, trials=-3)
+
+
 def test_stokes_point_makes_no_random_trials():
     rep = stokes_check(fixtures.point())
     assert rep.passed

@@ -4,7 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from oracles import disjoint_stellar_description
+from oracles import (
+    dense_compose,
+    dense_flag_sum_map,
+    dense_identity,
+    dense_stellar_map,
+    disjoint_stellar_description,
+)
 
 from cellcomplexes import fixtures, subdivision
 from cellcomplexes.cells import CellId, EMPTY
@@ -13,6 +19,7 @@ from cellcomplexes.complexes import euler_characteristic
 from cellcomplexes.errors import CccError, UnknownCellError
 from cellcomplexes.flags import flag_graph, orient_all_cells
 from cellcomplexes.subdivision import (
+    ChainMap,
     barycentric,
     barycentric_via_stellar,
     big_phi,
@@ -26,6 +33,10 @@ from cellcomplexes.subdivision import (
 )
 
 C = CellId.of
+
+# every fixture whose cells all orient, plus simplices and a torus
+ORIENTED = [(name, ()) for name in fixtures.FIXTURES if name != "bad_axiom4"] \
+    + [("simplex", (n,)) for n in range(1, 5)] + [("torus", (4,))]
 
 
 # -- stellar subdivision -------------------------------------------------------
@@ -205,6 +216,71 @@ def test_phi_is_zero_outside_its_degrees(torus9, torus9_signs):
     f = phi(torus9, C("h00"), torus9_signs)
     for d in (3, -1):
         assert f.apply(Chain(d, {})) == Chain(d)
+
+
+def test_apply_rejects_a_cell_of_another_rank(torus9, torus9_signs):
+    f = phi(torus9, C("h00"), torus9_signs)
+    with pytest.raises(ValueError, match=r"cell v00 does not have rank 1"):
+        f.apply(Chain(1, {C("h11"): 1, C("v00"): 2}))
+
+
+def test_matrix_is_empty_outside_its_degrees(torus9, torus9_signs):
+    f = phi(torus9, C("h00"), torus9_signs)
+    for d in (-1, 3):
+        assert f.matrix(d).shape == (0, 0)
+
+
+def test_then_rejects_maps_that_do_not_meet(torus9, torus9_signs):
+    f, g = phi(torus9, C("h00"), torus9_signs), phi(torus9, C("h11"), torus9_signs)
+    with pytest.raises(ValueError, match="chain maps do not compose: bases differ"):
+        f.then(g)
+
+
+def test_then_and_apply_add_images_up(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs)
+    a, b = C("h00"), C("h11")
+    ident = {x: {x: 1} for x in torus9.cells}
+    f = ChainMap(cc, cc, {**ident, a: {a: 1, b: 1}})
+    g = ChainMap(cc, cc, {**ident, b: {a: -1, b: 1}})
+    assert f.then(g).images[a] == {b: 1}  # the two paths to h00 cancel
+    assert f.apply(Chain(1, {a: 1, b: 1})) == Chain(1, {a: 1, b: 2})
+
+
+def _assert_matrices(f, mats):
+    assert len(mats) == f.source.dim + 1
+    for d, want in enumerate(mats):
+        got = f.matrix(d)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,args", ORIENTED)
+def test_phi_matches_dense_oracle(name, args):
+    s = fixtures.fixture(name, *args)
+    signs = orient_all_cells(s)
+    for x in s.cells:
+        if s.rank(x) >= 1:
+            f = phi(s, x, signs)
+            _assert_matrices(f, dense_stellar_map(f.source, f.target, [x]))
+
+
+@pytest.mark.parametrize("name,args", ORIENTED)
+def test_tower_maps_match_dense_oracle(name, args):
+    s = fixtures.fixture(name, *args)
+    tower = barycentric_via_stellar(s, orient_all_cells(s))
+    total = dense_identity(tower.phi_total.source)
+    for stage in tower.stages:
+        step = stage.step_map
+        mats = dense_stellar_map(step.source, step.target, stage.points)
+        _assert_matrices(step, mats)
+        total = dense_compose(total, mats)
+    _assert_matrices(tower.phi_total, total)
+
+
+@pytest.mark.parametrize("name,args", ORIENTED)
+def test_big_phi_matches_dense_oracle(name, args):
+    s = fixtures.fixture(name, *args)
+    f = big_phi(s, orient_all_cells(s))
+    _assert_matrices(f, dense_flag_sum_map(f.source, f.target))
 
 
 @pytest.mark.parametrize("name", ["two_triangles", "torus9", "tetrahedron_boundary",
@@ -395,6 +471,33 @@ def test_compare_signs_on_square():
 def test_compare_signs_on_tetra_boundary(tetra_boundary, tetra_boundary_signs):
     eps = compare_phi_bigphi(tetra_boundary, tetra_boundary_signs)
     assert eps == [1, 1, -1]
+
+
+def test_compare_reports_maps_without_a_uniform_sign(torus9, torus9_signs, monkeypatch):
+    real = subdivision.big_phi
+
+    def doubled(*args, **kwargs):
+        f = real(*args, **kwargs)
+        images = {x: {y: 2 * v for y, v in img.items()} for x, img in f.images.items()}
+        return ChainMap(f.source, f.target, images)
+
+    monkeypatch.setattr(subdivision, "big_phi", doubled)
+    with pytest.raises(CccError, match="no uniform sign relates the maps in degree 0"):
+        compare_phi_bigphi(torus9, torus9_signs)
+
+
+def test_compare_reports_maps_that_differ(torus9, torus9_signs, monkeypatch):
+    real = subdivision.barycentric_via_stellar
+
+    def zero_total(*args):
+        tower = real(*args)
+        f = tower.phi_total
+        tower.phi_total = ChainMap(f.source, f.target, {x: {} for x in f.images})
+        return tower
+
+    monkeypatch.setattr(subdivision, "barycentric_via_stellar", zero_total)
+    with pytest.raises(CccError, match="maps differ in degree 0"):
+        compare_phi_bigphi(torus9, torus9_signs)
 
 
 @pytest.mark.parametrize("name", ["mobius3", "projective_plane"])
