@@ -18,7 +18,8 @@ from .cells import EMPTY, CellId
 from .complexes import Ccc
 from .errors import EmptyComplexError, UnknownCellError
 from .flags import SignTable
-from .snf import invariant_factors, kernel_basis, matmul, smith_normal_form, solve_columns
+from .snf import (SparseMatrix, invariant_factors, kernel_basis, matmul, smith_normal_form,
+                  solve_columns)
 
 
 @dataclass
@@ -57,10 +58,11 @@ class Chain:
 
 
 class ChainComplex:
-    """Ordered cell bases per degree plus integer boundary matrices.
+    """Ordered cell bases per degree plus the boundary of each cell.
 
-    ``boundary_matrix(i)`` maps degree ``i`` to ``i - 1``; entry ``[y, x]``
-    is ``s(x, y)`` for a face ``y`` of ``x``.  With ``augmented=True`` a
+    ``images[x]`` is the boundary of ``x``: its faces ``y`` with
+    coefficient ``s(x, y)``.  ``boundary_matrix(i)`` maps degree ``i`` to
+    ``i - 1``; entry ``[y, x]`` is ``s(x, y)``.  With ``augmented=True`` a
     degree ``-1`` group generated by the empty cell is appended and every
     vertex maps to its generator.
     """
@@ -74,21 +76,18 @@ class ChainComplex:
         self.dim = complex.dim
         self.bases = [list(complex.cells_of_rank(r)) for r in range(self.dim + 1)]
         self.index = [{c: i for i, c in enumerate(b)} for b in self.bases]
+        self.images = {x: {EMPTY: 1} if augmented and complex.rank(x) == 0
+                       else {y: signs.s(x, y) for y in complex.faces(x)}
+                       for x in complex.cells}
 
-        def image(x):
-            if augmented and complex.rank(x) == 0:
-                return {EMPTY: 1}
-            return {y: signs.s(x, y) for y in complex.faces(x)}
-
-        rows = [{EMPTY: 0} if augmented else {}] + self.index
-        self.mats = [dense_matrix(rows[r], self.bases[r], image) for r in range(self.dim + 1)]
+    def sparse_boundary(self, i: int) -> SparseMatrix:
+        """The boundary from degree ``i`` to ``i - 1``, kept sparse."""
+        rows = [{EMPTY: 0} if self.augmented else {}] + self.index
+        return SparseMatrix(rows[i] if 0 <= i <= self.dim + 1 else {},
+                            self.bases[i] if 0 <= i <= self.dim else [], self.images)
 
     def boundary_matrix(self, i: int) -> np.ndarray:
-        if 0 <= i <= self.dim:
-            return self.mats[i]
-        lower = len(self.bases[i - 1]) if 0 <= i - 1 <= self.dim else 0
-        upper = len(self.bases[i]) if 0 <= i <= self.dim else 0
-        return np.zeros((lower, upper), dtype=np.int64)
+        return np.asarray(self.sparse_boundary(i))
 
     def chain(self, coeffs: Mapping, degree: int | None = None) -> Chain:
         items = dict(coeffs)
@@ -103,42 +102,33 @@ class ChainComplex:
         return Chain(degree, {c: int(v) for c, v in zip(self.bases[degree], vec)})
 
 
-def dense_matrix(rows: Mapping, columns, image) -> np.ndarray:
-    """Integer matrix whose column ``j`` holds ``image(columns[j])``, a
-    mapping from cells to coefficients, each cell at row ``rows[cell]``.
-    Every boundary matrix and chain-map matrix is written here."""
-    m = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    for j, x in enumerate(columns):
-        for y, v in image(x).items():
-            m[rows[y], j] = v
-    return m
-
-
 def chain_complex(s: Ccc, signs: SignTable, augmented: bool = False) -> ChainComplex:
     """Raises MissingSignError when ``signs`` lacks an incidence pair."""
     return ChainComplex(s, signs, augmented)
 
 
-def _image(m: np.ndarray, cc: ChainComplex, c: Chain, degree: int) -> Chain:
-    """The chain of ``degree`` that ``m`` sends ``c`` to, read off the
-    columns in the chain's support."""
-    cols = [cc.index[c.degree][x] for x in c.coeffs]
-    vec = m[:, cols].astype(object) @ np.array(list(c.coeffs.values()), dtype=object)
-    return cc.from_vector(vec, degree)
+def _push(coeffs: dict, images: dict) -> dict:
+    """The combination of images that ``coeffs`` weights, zeros dropped."""
+    out: dict = {}
+    for x, a in coeffs.items():
+        for y, b in images[x].items():
+            out[y] = out.get(y, 0) + a * b
+    return {y: v for y, v in out.items() if v}
 
 
 def boundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of faces, extended linearly; zero on minimal cells."""
     if c.degree <= 0:  # also on an augmented complex
         return Chain(c.degree - 1)
-    return _image(cc.boundary_matrix(c.degree), cc, c, c.degree - 1)
+    return Chain(c.degree - 1, _push(c.coeffs, cc.images))
 
 
 def coboundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of cofaces; zero on maximal cells."""
     if c.degree >= cc.dim:
         return Chain(c.degree + 1)
-    return _image(cc.boundary_matrix(c.degree + 1).T, cc, c, c.degree + 1)
+    coimages = {y: {x: cc.images[x][y] for x in cc.complex.cofaces(y)} for y in c.coeffs}
+    return Chain(c.degree + 1, _push(c.coeffs, coimages))
 
 
 @dataclass(frozen=True)
@@ -167,33 +157,23 @@ class HomologyResult:
                 and all(not t for t in self.torsion[1:]))
 
 
-def _homology_from_matrices(sizes, mats) -> HomologyResult:
-    """Homology of ..-> C_i -> C_{i-1} -> ..; mats[i] maps degree i down."""
-    top = len(sizes) - 1
-    ranks = [0] * (top + 2)
-    factors = [[] for _ in range(top + 2)]
-    for i in range(top + 1):
-        if mats[i].size:
-            f = invariant_factors(mats[i])
-            ranks[i] = len(f)
-            factors[i] = f
-    betti = []
-    torsion = []
-    for i in range(top + 1):
-        out_rank = ranks[i]
-        in_rank = ranks[i + 1] if i + 1 <= top else 0
-        betti.append(sizes[i] - out_rank - in_rank)
-        tor = [d for d in (factors[i + 1] if i + 1 <= top else []) if d > 1]
-        torsion.append(tuple(tor))
-    return HomologyResult(tuple(betti), tuple(torsion))
+def _groups(sizes, mats, torsion_from: int) -> HomologyResult:
+    """Groups of ..-> C_i -> C_{i-1} -> .. where mats[i] is D_i: rank
+    n_i - r_i - r_{i+1} plus the non-unit invariant factors of
+    D_{i + torsion_from}, which is D_{i+1} for homology and D_i for
+    cohomology."""
+    factors = [invariant_factors(m) if all(m.shape) else [] for m in mats] + [[]]
+    betti = tuple(n - len(factors[i]) - len(factors[i + 1]) for i, n in enumerate(sizes))
+    torsion = tuple(tuple(d for d in factors[i + torsion_from] if d > 1)
+                    for i in range(len(sizes)))
+    return HomologyResult(betti, torsion)
 
 
 def homology_of(cc: ChainComplex) -> HomologyResult:
     """For an augmented complex this is the reduced homology: the
     degree-zero map already quotients by the empty cell."""
-    sizes = [len(b) for b in cc.bases]
-    mats = [cc.boundary_matrix(i) for i in range(cc.dim + 1)]
-    return _homology_from_matrices(sizes, mats)
+    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
+    return _groups([len(b) for b in cc.bases], mats, 1)
 
 
 def homology(s: Ccc, signs: SignTable, reduced: bool = False) -> HomologyResult:
@@ -202,20 +182,12 @@ def homology(s: Ccc, signs: SignTable, reduced: bool = False) -> HomologyResult:
 
 
 def cohomology_of(cc: ChainComplex) -> HomologyResult:
-    """Homology of the transposed complex, reported by original degree."""
-    n = cc.dim
-    sizes = [len(cc.bases[n - j]) for j in range(n + 1)]
-    mats = [None] * (n + 1)
-    for j in range(n + 1):
-        # degree j of the flipped complex is C^{n-j}; its outgoing map is
-        # the transpose of the boundary arriving at degree n-j.
-        i = n - j
-        mats[j] = cc.boundary_matrix(i + 1).T if i + 1 <= n else \
-            np.zeros((0, sizes[j]), dtype=np.int64)
-    flipped = _homology_from_matrices(sizes, mats)
-    betti = tuple(reversed(flipped.betti))
-    torsion = tuple(reversed(flipped.torsion))
-    return HomologyResult(betti, torsion)
+    """Cohomology from the boundaries homology reads: the coboundary out of
+    degree i is the transpose of D_{i+1}, with the same invariant factors.
+    The augmentation is ignored."""
+    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
+    mats[0] = SparseMatrix({}, [], {})
+    return _groups([len(b) for b in cc.bases], mats, 0)
 
 
 def cohomology(s: Ccc, signs: SignTable) -> HomologyResult:
@@ -241,10 +213,11 @@ def _homology_of_cells(cc: ChainComplex, cells) -> HomologyResult:
     """Homology of the boundary matrices restricted to the rows and
     columns of ``cells``: of the quotient by the other cells when those
     are closed, of the subcomplex on ``cells`` when it is closed."""
-    keep = [[i for i, c in enumerate(b) if c in cells] for b in cc.bases]
-    mats = [np.zeros((0, len(keep[0])), dtype=np.int64)]
-    mats += [cc.mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, cc.dim + 1)]
-    return _homology_from_matrices([len(k) for k in keep], mats)
+    keep = [sorted((c for c in cells if cc.complex.rank(c) == r), key=cc.index[r].get)
+            for r in range(cc.dim + 1)]
+    rows = [{}] + [{c: j for j, c in enumerate(k)} for k in keep]
+    mats = [SparseMatrix(rows[r], keep[r], cc.images) for r in range(cc.dim + 1)]
+    return _groups([len(k) for k in keep], mats, 1)
 
 
 def is_acyclic(s: Ccc, signs: SignTable) -> bool:

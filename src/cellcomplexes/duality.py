@@ -149,13 +149,12 @@ class StarMap:
         return all(self._mismatches(i) == 0 for i in range(self.n))
 
     def _mismatches(self, i: int) -> int:
-        """Entries where D_{i+1} of the source differs from the transpose
-        of D_{n-i} of the target, rows and columns matched by cell."""
-        src, tgt, n = self.source, self.target, self.n
-        rows = [tgt.index[n - i][c] for c in src.bases[i]]
-        cols = [tgt.index[n - i - 1][c] for c in src.bases[i + 1]]
-        dual = tgt.boundary_matrix(n - i)[np.ix_(cols, rows)].T
-        return int(np.count_nonzero(src.boundary_matrix(i + 1) != dual))
+        """Pairs (x, y) where the boundary of ``x`` counts ``y`` differently
+        from how the dual boundary of ``y`` counts ``x``."""
+        src, tgt = self.source, self.target
+        a = {(x, y): v for x in src.bases[i + 1] for y, v in src.images[x].items()}
+        b = {(x, y): v for y in src.bases[i] for x, v in tgt.images[y].items()}
+        return sum(a.get(k) != b.get(k) for k in a.keys() | b.keys())
 
 
 @dataclass
@@ -343,8 +342,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
         omega_c = Chain(i, {x: rng.randint(-3, 3) for x in cc.bases[i]})
         lhs = sum(d_sigma.coeffs.get(c, 0) * v
                   for c, v in omega_c.coeffs.items())
-        rhs = sum(coboundary(omega_c, cc).coeffs.get(c, 0) * v
-                  for c, v in sigma.coeffs.items())
+        d_omega = coboundary(omega_c, cc).coeffs
+        rhs = sum(d_omega.get(c, 0) * v for c, v in sigma.coeffs.items())
         if lhs != rhs:
             stokes_bad += 1
         done += 1

@@ -174,17 +174,28 @@ FIXTURES = {
 }
 
 
+MAX_CELLS = 100_000
+
+
 def fixture(name: str, *args) -> Ccc:
     """Look a fixture up by name; ``simplex`` takes its dimension and
-    ``torus`` one or two polygon sizes."""
+    ``torus`` one or two polygon sizes.  Sizes whose cell count exceeds
+    ``MAX_CELLS`` are refused before anything is built."""
     if name == "simplex":
         if len(args) != 1:
             raise ValueError("simplex needs a dimension argument")
-        return simplex(int(args[0]))
+        n = int(args[0])
+        # the first test spares computing 2^(n+1) for a huge n
+        if n >= MAX_CELLS.bit_length() or 2 ** (n + 1) - 1 > MAX_CELLS:
+            raise ValueError(f"simplex {n} has 2^{n + 1} - 1 cells, more than {MAX_CELLS}")
+        return simplex(n)
     if name == "torus":
         if len(args) not in (1, 2):
             raise ValueError("torus needs one or two polygon sizes")
-        return torus(*(int(a) for a in args))
+        n, m = int(args[0]), int(args[-1])
+        if 4 * n * m > MAX_CELLS:
+            raise ValueError(f"torus {n} {m} has {4 * n * m} cells, more than {MAX_CELLS}")
+        return torus(n, m)
     try:
         builder = FIXTURES[name]
     except KeyError:

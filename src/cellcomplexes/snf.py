@@ -2,15 +2,15 @@
 
 Exact arbitrary-precision arithmetic throughout.  Two entry points read
 only the diagonal and track no transforms: :func:`invariant_factors` and
-:func:`matrix_rank` eliminate the unit entries of a sparse copy of the
-matrix by row operations and hand the small non-unit remainder to the
-dense engine.  The dense engine, :func:`smith_normal_form`, and the entry
-points built on it, :func:`kernel_basis` and :func:`solve_columns`, track
-all four transforms.  Its pivoting picks the entry of smallest nonzero
-magnitude and moves it into place, which keeps coefficient growth tame on
-small dense matrices.  Its factorization satisfies ``U @ M @ V == diag``
-with ``U``, ``V`` unimodular, and the inverse transforms are tracked
-alongside.
+:func:`matrix_rank` read the columns of a :class:`SparseMatrix` (dense
+input is accepted), eliminate their unit entries and hand the small
+non-unit remainder to the dense engine.  The dense engine,
+:func:`smith_normal_form`, and the entry points built on it,
+:func:`kernel_basis` and :func:`solve_columns`, track all four transforms.
+Its pivoting picks the entry of smallest nonzero magnitude and moves it
+into place, which keeps coefficient growth tame on small dense matrices.
+Its factorization satisfies ``U @ M @ V == diag`` with ``U``, ``V``
+unimodular, and the inverse transforms are tracked alongside.
 """
 
 from __future__ import annotations
@@ -158,26 +158,53 @@ def smith_normal_form(matrix) -> SmithNormalForm:
     return SmithNormalForm(diagonal, rank, u, u_inv, v, v_inv)
 
 
-def invariant_factors(matrix) -> list:
-    """The nonzero diagonal of the Smith normal form: positive, each
-    dividing the next.
+class SparseMatrix:
+    """Integer matrix kept as columns: column ``j`` is ``images[columns[j]]``,
+    a mapping from row keys to nonzero entries, and ``rows`` numbers the row
+    keys.  Entries at keys outside ``rows`` are left out, which restricts
+    the matrix to those rows."""
 
-    A unit pivot needs no column operations: once row operations have
-    cleared its column, its row and column split off as a factor 1.  The
-    pivot is a ±1 entry of the shortest live row, taken from the shortest
-    column among that row's units, which keeps fill-in low on sparse
-    boundary matrices.  Rows left without a unit entry form the
+    def __init__(self, rows, columns, images):
+        self.rows, self.columns, self.images = rows, columns, images
+        self.shape = (len(rows), len(columns))
+
+    def column_entries(self) -> list:
+        """Each column as a dict from row number to entry."""
+        return [{self.rows[y]: v for y, v in self.images[x].items() if y in self.rows}
+                for x in self.columns]
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense int64 array; the one place a dense matrix is written."""
+        m = np.zeros(self.shape, dtype=np.int64)
+        for j, col in enumerate(self.column_entries()):
+            for i, v in col.items():
+                m[i, j] = v
+        return m  # numpy casts it when another dtype is asked for
+
+
+def invariant_factors(matrix) -> list:
+    """The nonzero diagonal of the Smith normal form of a :class:`SparseMatrix`
+    or a dense matrix: positive, each dividing the next.
+
+    The columns are eliminated as the rows of the transpose, which has the
+    same factors.  A unit pivot needs no column operations: once row
+    operations have cleared its column, its row and column split off as a
+    factor 1.  The pivot is a ±1 entry of the shortest live row, taken from
+    the shortest column among that row's units, which keeps fill-in low on
+    sparse boundary matrices.  Rows left without a unit entry form the
     remainder, whose factors come from :func:`smith_normal_form`.
     """
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return []
-    nz_rows, nz_cols = np.nonzero(a)
-    rows = defaultdict(dict)    # row -> {column: nonzero entry}
+    if isinstance(matrix, SparseMatrix):
+        lines = matrix.column_entries()
+    else:
+        a = np.asarray(matrix)
+        lines = [{i: int(v) for i, v in enumerate(col) if v}
+                 for col in (a.T.tolist() if a.size else [])]
+    rows = {i: r for i, r in enumerate(lines) if r}  # row -> {column: nonzero entry}
     col_rows = defaultdict(set)  # column -> rows with a nonzero there
-    for i, j, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
-        rows[i][j] = int(v)
-        col_rows[j].add(i)
+    for i, r in rows.items():
+        for j in r:
+            col_rows[j].add(i)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     units = 0

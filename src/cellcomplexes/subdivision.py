@@ -22,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .cells import CellId, EMPTY
-from .chains import (Chain, ChainComplex, HomologyResult, chain_complex, dense_matrix,
-                     homology_of)
+from .chains import Chain, ChainComplex, HomologyResult, _push, chain_complex, homology_of
 from .complexes import Ccc
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, flags_of
+from .snf import SparseMatrix
 # Unused here; kept because bench/tracing.py patches these names.
 from .flags import _derive_signs, permutation_orientation  # noqa: F401
 
@@ -55,8 +57,8 @@ class ChainMap:
         """Dense (len(target.bases[d]), len(source.bases[d])) array; 0 x 0
         outside degrees 0..dim."""
         if not 0 <= d <= self.source.dim:
-            return dense_matrix({}, [], self.images.get)
-        return dense_matrix(self.target.index[d], self.source.bases[d], self.images.get)
+            return np.asarray(SparseMatrix({}, [], self.images))
+        return np.asarray(SparseMatrix(self.target.index[d], self.source.bases[d], self.images))
 
     def apply(self, chain: Chain) -> Chain:
         d = chain.degree
@@ -68,28 +70,15 @@ class ChainMap:
         return Chain(d, _push(chain.coeffs, self.images))
 
     def is_chain_map(self) -> bool:
-        """Does target-boundary compose with this as this composes with source-boundary?"""
-        for d in range(1, max(self.source.dim, self.target.dim) + 1):
-            left = self.target.boundary_matrix(d) @ self.matrix(d)
-            right = self.matrix(d - 1) @ self.source.boundary_matrix(d)
-            if left.shape != right.shape or (left != right).any():
-                return False
-        return True
+        """Does the boundary of each cell's image equal the image of its boundary?"""
+        return all(_push(img, self.target.images) == _push(self.source.images[x], self.images)
+                   for x, img in self.images.items())
 
     def then(self, nxt: "ChainMap") -> "ChainMap":
         if self.target.bases != nxt.source.bases:
             raise ValueError("chain maps do not compose: bases differ")
         images = {x: _push(img, nxt.images) for x, img in self.images.items()}
         return ChainMap(self.source, nxt.target, images)
-
-
-def _push(coeffs: dict, images: dict) -> dict:
-    """The combination of images that ``coeffs`` weights, zeros dropped."""
-    out: dict = {}
-    for x, a in coeffs.items():
-        for y, b in images[x].items():
-            out[y] = out.get(y, 0) + a * b
-    return {y: v for y, v in out.items() if v}
 
 
 # -- stellar subdivision ----------------------------------------------------

@@ -10,7 +10,9 @@ every flag, built flag by flag (removal permutations, cone pull-backs,
 dual splicing, 2-colorings of flag graphs), and incidence signs are read
 off them; chain boundaries walk faces and cofaces through the sign table
 instead of reading the boundary matrices, and the boundary adjunction is
-checked pair by pair; chain maps into subdivisions are dense matrices
+checked pair by pair; boundary matrices are dense arrays filled entry by
+entry, cohomology is the homology of their transposes, and closures and
+quotients slice them; chain maps into subdivisions are dense matrices
 filled entry by entry and composed by matrix products; orders are given
 by every cell strictly below each cell (subsets, products of closures,
 sub-chains), closed by repeated composition, and covers are read off
@@ -26,7 +28,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
-from cellcomplexes.chains import Chain
+from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import (
@@ -36,6 +38,7 @@ from cellcomplexes.flags import (
     flags_of,
     orient_cell,
 )
+from cellcomplexes.snf import invariant_factors
 from cellcomplexes.subdivision import cell_of_chain, chain_of_cell
 
 
@@ -441,3 +444,54 @@ def dense_identity(cc) -> list:
 def dense_compose(first, second) -> list:
     """``first`` followed by ``second``, degree by degree."""
     return [b @ a for a, b in zip(first, second)]
+
+
+# -- the dense chain layer -----------------------------------------------------
+
+
+def dense_boundary_matrices(s, signs, augmented=False) -> list:
+    """Per-degree int64 boundary matrices filled entry by entry:
+    ``mats[r]`` maps rank ``r`` to rank ``r - 1`` (rows in
+    ``cells_of_rank`` order); with ``augmented`` degree zero has one row
+    of ones, for the empty cell."""
+    bases = [list(s.cells_of_rank(r)) for r in range(s.dim + 1)]
+    mats = []
+    for r, basis in enumerate(bases):
+        if r == 0:
+            mats.append(np.ones((1 if augmented else 0, len(basis)), dtype=np.int64))
+            continue
+        index = {c: i for i, c in enumerate(bases[r - 1])}
+        m = np.zeros((len(index), len(basis)), dtype=np.int64)
+        for j, x in enumerate(basis):
+            for y in s.faces(x):
+                m[index[y], j] = signs.s(x, y)
+        mats.append(m)
+    return mats
+
+
+def dense_homology(sizes, mats) -> HomologyResult:
+    """Groups of the complex whose degree-``i`` map is ``mats[i]``, from
+    the invariant factors of the dense matrices."""
+    factors = [invariant_factors(m) if m.size else [] for m in mats] + [[]]
+    betti = tuple(n - len(factors[i]) - len(factors[i + 1]) for i, n in enumerate(sizes))
+    torsion = tuple(tuple(d for d in factors[i + 1] if d > 1) for i in range(len(sizes)))
+    return HomologyResult(betti, torsion)
+
+
+def dense_cohomology(sizes, mats) -> HomologyResult:
+    """Homology of the transposed complex, degree ``n - j`` read as ``j``,
+    reported by original degree; the degree-zero map is ignored."""
+    n = len(sizes) - 1
+    flipped = [mats[n - j + 1].T if j else np.zeros((0, sizes[n]), dtype=np.int64)
+               for j in range(n + 1)]
+    h = dense_homology(sizes[::-1], flipped)
+    return HomologyResult(h.betti[::-1], h.torsion[::-1])
+
+
+def dense_homology_of_cells(s, mats, cells) -> HomologyResult:
+    """Homology of the matrices sliced to the rows and columns of ``cells``."""
+    keep = [[i for i, c in enumerate(s.cells_of_rank(r)) if c in cells]
+            for r in range(s.dim + 1)]
+    sliced = [np.zeros((0, len(keep[0])), dtype=np.int64)]
+    sliced += [mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, s.dim + 1)]
+    return dense_homology([len(k) for k in keep], sliced)

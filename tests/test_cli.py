@@ -76,6 +76,27 @@ def test_example_torus_too_small():
     assert code == 2
 
 
+@pytest.mark.parametrize("params, count", [(["simplex", "40"], "2^41 - 1"),
+                                           (["simplex", "16"], "2^17 - 1"),
+                                           (["torus", "1000"], "4000000"),
+                                           (["torus", "50", "501"], "100200")])
+def test_example_refuses_fixtures_too_large_to_build(monkeypatch, capsys, params, count):
+    def refuse(*args):
+        raise AssertionError("a fixture past the cap was built")
+
+    monkeypatch.setattr(fixtures, "from_simplicial", refuse)
+    monkeypatch.setattr(fixtures, "product", refuse)
+    code, text = run_cli(["example", *params])
+    assert code == 2 and text == ""
+    assert f"has {count} cells, more than 100000" in capsys.readouterr().err
+
+
+def test_fixtures_up_to_the_cap_still_build():
+    assert len(fixtures.fixture("simplex", "4")) == 31
+    assert len(fixtures.fixture("torus", "100")) == 40000
+    assert fixtures.MAX_CELLS == 100_000
+
+
 def test_example_writes_file(tmp_path):
     out = tmp_path / "e.ccc"
     code, _ = run_cli(["example", "edge", "-o", str(out)])

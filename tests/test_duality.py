@@ -146,6 +146,13 @@ def test_star_map_mismatches_count_differing_entries(torus9, torus_dos):
         assert sm.intertwines() is (want == 0)
 
 
+def test_star_map_mismatches_count_an_entry_missing_on_one_side(torus_dos):
+    sm = StarMap(torus_dos)
+    del sm.target.images[C("v00")][C("h00")]  # the dual boundary loses one face
+    assert [sm._mismatches(i) for i in range(sm.n)] == [1, 0]
+    assert not sm.intertwines()
+
+
 # -- the duality pipeline ----------------------------------------------------------
 
 
@@ -288,6 +295,12 @@ def test_stokes_torus(torus9):
 
 def test_stokes_tetra_boundary(tetra_boundary):
     assert stokes_check(tetra_boundary, trials=40).passed
+
+
+def test_stokes_takes_one_coboundary_per_trial(torus9, count_calls):
+    calls = count_calls((duality, "coboundary"))
+    assert stokes_check(torus9, trials=25).passed
+    assert len(calls) == 25
 
 
 def test_stokes_rejects_negative_trials(torus9):

@@ -293,6 +293,29 @@ def test_phi_is_a_chain_map_everywhere(name):
             assert phi(s, x, signs).is_chain_map()
 
 
+def _squares_over(s, x):
+    return sorted(w for w in s.up_set(x) if s.rank(w) == 2)
+
+
+def test_is_chain_map_rejects_a_perturbed_coefficient(torus9, torus9_signs):
+    f = phi(torus9, C("e00"), torus9_signs)
+    w = _squares_over(torus9, C("e00"))[0]
+    cone, v = next(iter(f.images[w].items()))
+    bad = ChainMap(f.source, f.target, {**f.images, w: {**f.images[w], cone: 2 * v}})
+    assert f.is_chain_map() and not bad.is_chain_map()
+
+
+def test_is_chain_map_rejects_a_misplaced_cone_image(torus9, torus9_signs):
+    # one cone in the image of a square moves to a cone over the other square
+    f = phi(torus9, C("e00"), torus9_signs)
+    a, b = _squares_over(torus9, C("e00"))
+    old = next(c for c in f.images[a] if c not in f.images[b])
+    new = next(c for c in f.images[b] if c not in f.images[a])
+    image = {new if c == old else c: v for c, v in f.images[a].items()}
+    bad = ChainMap(f.source, f.target, {**f.images, a: image})
+    assert f.is_chain_map() and not bad.is_chain_map()
+
+
 # -- barycentric subdivision --------------------------------------------------------
 
 
