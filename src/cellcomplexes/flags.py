@@ -15,8 +15,9 @@ boundary matrices built in :mod:`cellcomplexes.chains`.
 
 Conversely the color of a flag is the product of the signs along it
 times the sign of its vertex, so a :class:`SignTable` stores only signs
-and derives colorings.  Simplex-like cells take the removal rule:
-dropping the i-th largest member carries sign (-1)^i.
+and derives colorings, as does an orientation of the complex from a
+table plus one sign per top cell.  Simplex-like cells take the removal
+rule: dropping the i-th largest member carries sign (-1)^i.
 
 Canonical orientations are computed without listing flags.  Once the
 faces of ``x`` are oriented, the flags below ``x`` fall into one block
@@ -197,7 +198,8 @@ def is_orientable(s: Ccc) -> bool:
 
 @dataclass(frozen=True)
 class Orientation:
-    """A coloring of flags with adjacent flags opposite."""
+    """A coloring of flags with adjacent flags opposite; ``colors`` is a
+    dict when a flag graph was 2-colored, else derived on lookup."""
 
     colors: Mapping  # Flag -> +1 / -1
 
@@ -224,18 +226,17 @@ def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> Orientation:
 def orient(s: Ccc) -> Orientation:
     """Canonical orientation: the least flag is colored +1.
 
-    Every flag of the complex gets its color.  The top cells are signed
-    by the top-cell rule; when it fails the flag graph is 2-colored, and
-    the NotOrientableError carries an odd-cycle certificate or a
-    component count.
+    The top cells are signed by the top-cell rule, and a flag's color is
+    derived on lookup: its top cell's sign times the canonical signs along
+    it.  When the rule fails the flag graph is 2-colored, and the
+    NotOrientableError carries an odd-cycle certificate or a component
+    count.
     """
     signs = _diamond_signs(s, s.cells) if _equidimensional(s) else None
     if signs is not None:
         eps = _link_signs({x: _down(s, signs, x) for x in s.cells_of_rank(s.dim)})
         if eps is not None:
-            table = SignTable(s, signs)
-            return Orientation({f: e * table.color(f)
-                                for x, e in eps.items() for f in flags_of(s, x)})
+            return Orientation(_FlagColors(SignTable(s, signs), eps))
     graph = flag_graph(s)
     if not graph.flags:
         raise NotOrientableError("complex has no flags")
@@ -275,7 +276,7 @@ class SignTable:
 
     def orientation(self, x: CellId) -> Orientation:
         """The orientation of ``x``; each flag's color is derived on lookup."""
-        return Orientation(_FlagColors(self, x))
+        return Orientation(_FlagColors(self, {x: 1}))
 
     def _flag_count(self, x: CellId) -> int:
         """The number of flags below ``x``: the sum over its faces, 1 for a
@@ -307,27 +308,28 @@ class SignTable:
 
 
 class _FlagColors(Mapping):
-    """Read-only view of the colors of the flags below one cell, each
-    derived from the sign table on lookup."""
+    """Read-only view of the colors of the flags below some cells, each
+    derived on lookup: a flag below ``x`` takes ``tops[x]`` times the
+    table's color."""
 
-    def __init__(self, table: SignTable, x: CellId):
+    def __init__(self, table: SignTable, tops: Mapping):
         self._table = table
-        self._cell = x
-        self._length = table.complex.rank(x) + 1
+        self._tops = tops  # cell -> its sign
 
     def __getitem__(self, flag) -> int:
-        faces = self._table.complex.faces
-        if not (type(flag) is tuple and len(flag) == self._length
-                and flag[0] == self._cell
-                and all(b in faces(a) for a, b in zip(flag, flag[1:]))):
+        s = self._table.complex
+        e = self._tops.get(flag[0]) if type(flag) is tuple and flag else None
+        if (e is None or len(flag) != s.rank(flag[0]) + 1
+                or not all(b in s.faces(a) for a, b in zip(flag, flag[1:]))):
             raise KeyError(flag)
-        return self._table.color(flag)
+        return e * self._table.color(flag)
 
     def __iter__(self):
-        return iter(flags_of(self._table.complex, self._cell))
+        for x in self._tops:
+            yield from flags_of(self._table.complex, x)
 
     def __len__(self):
-        return self._table._flag_count(self._cell)
+        return sum(self._table._flag_count(x) for x in self._tops)
 
 
 class _Orientations(Mapping):
@@ -346,11 +348,6 @@ class _Orientations(Mapping):
 
     def __len__(self):
         return len(self._table.complex)
-
-
-def sign_from_flag(table_x: Orientation, table_y: Orientation, flag: Flag) -> int:
-    """s(x, y) computed from one flag through x and its face y."""
-    return table_x.sign(flag) * table_y.sign(flag[1:])
 
 
 def _least_flag(s: Ccc, x: CellId) -> Flag:

@@ -5,18 +5,18 @@ path than the library: simplicial boundary matrices come straight from
 vertex sets with alternating signs and are reduced with sympy's Smith
 normal form; flag adjacency is rebuilt by comparing all pairs of maximal
 chains; the disjoint-points subdivision is assembled directly from its
-closed-form cell list and order rules; orientations are colorings of
-every flag, built flag by flag (removal permutations, cone pull-backs,
-dual splicing, 2-colorings of flag graphs), and incidence signs are read
-off them; chain boundaries walk faces and cofaces through the sign table
-instead of reading the boundary matrices, and the boundary adjunction is
-checked pair by pair; boundary matrices are dense arrays filled entry by
-entry, cohomology is the homology of their transposes, and closures and
-quotients slice them; chain maps into subdivisions are dense matrices
-filled entry by entry and composed by matrix products; orders are given
-by every cell strictly below each cell (subsets, products of closures,
-sub-chains), closed by repeated composition, and covers are read off
-closures of closures.
+closed-form cell list and order rules; orientations are colorings of every
+flag, built flag by flag (removal permutations, cone pull-backs, dual
+splicing, flag reversal, 2-colorings of flag graphs), and incidence signs
+are read off them; chain boundaries walk faces and cofaces through the
+sign table instead of reading the boundary matrices, and the boundary
+adjunction is checked pair by pair; boundary matrices are dense arrays
+filled entry by entry, cohomology is the homology of their transposes, and
+closures and quotients slice them; chain maps into subdivisions are dense
+matrices filled entry by entry and composed by matrix products; orders are
+given by every cell strictly below each cell (subsets, products of
+closures, sub-chains), closed by repeated composition, and covers are read
+off closures of closures.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import (
+    Orientation,
     SignTable,
     _color_or_raise,
     flag_graph,
@@ -313,6 +314,16 @@ def flag_orient(s: Ccc):
     if not graph.flags:
         raise NotOrientableError("complex has no flags")
     return _color_or_raise(graph, "complex")
+
+
+def sign_from_flag(table_x: Orientation, table_y: Orientation, flag) -> int:
+    """s(x, y) computed from one flag through x and its face y."""
+    return table_x.sign(flag) * table_y.sign(flag[1:])
+
+
+def reversed_orientation(s: Ccc, omega: Orientation) -> Orientation:
+    """The orientation the dual complex inherits: reverse every flag."""
+    return Orientation({tuple(reversed(f)): c for f, c in omega.colors.items()})
 
 
 def flipped_colors(colors, cells) -> dict:

@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` patches names in library modules and classes and
 raises at install when one is missing; it also counts flags through
-``.orientations`` of the sign tables it sees.  These checks keep the
-library's side of that contract inside the main test suite.
+``.orientations`` of the sign tables it sees and through ``len`` of the
+colors that ``orient`` returns, and ``bench/checks.py`` reads every
+``(flag, color)`` pair of those colors.  These checks keep the library's
+side of that contract inside the main test suite.
 """
 
 import importlib
@@ -13,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from cellcomplexes import fixtures
-from cellcomplexes.flags import Orientation, orient_all_cells, simplicial_signs
+from cellcomplexes.complexes import product
+from cellcomplexes.flags import (
+    Orientation,
+    all_flags,
+    orient,
+    orient_all_cells,
+    simplicial_signs,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -48,3 +57,17 @@ def test_sign_tables_expose_orientation_colors(make):
     assert len(orientations) == len(s)
     for o in orientations:
         assert isinstance(o, Orientation) and o.colors
+
+
+@pytest.mark.parametrize("make", [fixtures.tetrahedron_boundary, fixtures.torus9,
+                                  lambda: product(fixtures.simplex(2), fixtures.simplex(1))],
+                         ids=["tetrahedron_boundary", "torus9", "simplex2xsimplex1"])
+def test_orient_colors_every_flag(make):
+    s = make()
+    omega = orient(s)
+    assert isinstance(omega, Orientation)
+    listed = all_flags(s)
+    assert len(omega.colors) == len(listed)
+    items = list(omega.colors.items())
+    assert sorted(f for f, _ in items) == listed
+    assert all(c in (1, -1) for _, c in items)

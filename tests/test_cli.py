@@ -7,9 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from oracles import flag_orient
+
 import cellcomplexes
 from cellcomplexes import fileformat, fixtures
 from cellcomplexes.cli import main
+from cellcomplexes.complexes import from_simplicial
+from cellcomplexes.errors import NotOrientableError
+from cellcomplexes.flags import all_flags
 
 
 def run_cli(args, stdin: str = ""):
@@ -186,6 +191,52 @@ def test_orient_mobius_prints_certificate(mobius_file):
     assert "odd flag cycle" in out
     cycle_lines = [l for l in out.splitlines() if l.startswith("  ")]
     assert len(cycle_lines) % 2 == 1
+
+
+def _flag_orientable(s):
+    try:
+        flag_orient(s)
+    except NotOrientableError:
+        return False
+    return True
+
+
+ORIENT_CASES = {
+    **{n: (lambda n=n: fixtures.fixture(n)) for n in sorted(fixtures.FIXTURES)
+       if _flag_orientable(fixtures.fixture(n))},
+    **{f"simplex{n}": (lambda n=n: fixtures.simplex(n)) for n in range(1, 5)},
+    "sphere3": lambda: from_simplicial([[v for v in "abcde" if v != w] for w in "abcde"]),
+    "torus4": lambda: fixtures.torus(4),
+}
+
+
+def _write(tmp_path, s):
+    p = tmp_path / "s.ccc"
+    p.write_text(fileformat.dumps(s))
+    return str(p)
+
+
+@pytest.mark.parametrize("name", sorted(ORIENT_CASES))
+def test_orient_prints_the_flag_coloring(name, tmp_path):
+    s = ORIENT_CASES[name]()
+    omega = flag_orient(s)
+    code, out = run_cli(["orient", _write(tmp_path, s)])
+    assert code == 0
+    assert out.splitlines() == [f"flag {'>'.join(str(c) for c in f)} {omega.colors[f]:+d}"
+                                for f in all_flags(s)]
+
+
+@pytest.mark.parametrize("name", ["mobius3", "projective_plane"])
+def test_orient_prints_the_flag_coloring_certificate(name, tmp_path):
+    s = fixtures.fixture(name)
+    with pytest.raises(NotOrientableError) as info:
+        flag_orient(s)
+    code, out = run_cli(["orient", _write(tmp_path, s)])
+    assert code == 1
+    assert info.value.odd_cycle
+    assert out.splitlines() == ([f"not orientable: {info.value}", "odd flag cycle:"]
+                                + ["  " + ">".join(str(c) for c in f)
+                                   for f in info.value.odd_cycle])
 
 
 # -- homology / cohomology ---------------------------------------------------------

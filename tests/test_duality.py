@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from oracles import basis_adjoint_residuals
+from oracles import basis_adjoint_residuals, reversed_orientation
 
 from cellcomplexes import duality, fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import Chain, boundary, chain_complex, free_cycle_generators
-from cellcomplexes.complexes import build_complex
+from cellcomplexes.complexes import build_complex, from_simplicial
 from cellcomplexes.duality import (
     DualOrientationSet,
     StarMap,
     dual_orientations,
     homology_pairing_matrix,
     pairing,
-    reversed_orientation,
     stokes_check,
     verify_duality,
 )
@@ -98,6 +97,59 @@ def test_reversed_orientation_is_valid(torus9):
     for f in g.flags:
         for nb in g.neighbors[f]:
             assert rev.sign(f) == -rev.sign(nb)
+
+
+def _sphere(n):
+    """The boundary of the n-simplex."""
+    vs = [f"s{i}" for i in range(n + 1)]
+    return from_simplicial([[v for v in vs if v != w] for w in vs])
+
+
+def _orientable_manifold_like(s):
+    try:
+        orient(s)
+    except CccError:
+        return False
+    return s.classify().manifold_like
+
+
+DUAL_CASES = {
+    **{n: (lambda n=n: fixtures.fixture(n)) for n in sorted(fixtures.FIXTURES)
+       if _orientable_manifold_like(fixtures.fixture(n))},
+    **{f"sphere{n}": (lambda n=n: _sphere(n)) for n in range(2, 6)},
+    "torus4": lambda: fixtures.torus(4),
+    "torus3x5": lambda: fixtures.torus(3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CASES))
+def test_dual_orientation_is_the_reversed_orientation(name, monkeypatch):
+    # verify_duality orients the dual from the dual table; the oracle
+    # reverses every flag of the global orientation
+    s = DUAL_CASES[name]()
+    calls = []
+
+    def recording(cx, omega=None, real=duality.dual_orientations):
+        calls.append((cx, omega))
+        return real(cx, omega)
+
+    monkeypatch.setattr(duality, "dual_orientations", recording)
+    assert verify_duality(s).passed
+    (cx, derived), = calls[1:]
+    assert cx == s.dual()
+    want = reversed_orientation(s, orient(s))
+    assert len(derived.colors) == len(want.colors) == len(flag_graph(cx).flags)
+    assert all(derived.sign(f) == c for f, c in want.colors.items())
+    assert dict(derived.colors) == want.colors
+
+
+@pytest.mark.parametrize("run", [verify_duality, stokes_check,
+                                 lambda s: homology_pairing_matrix(s, 1)],
+                         ids=["verify_duality", "stokes_check", "pairing_matrix"])
+def test_duality_lists_no_flags(run, torus9, count_calls):
+    calls = count_calls((flags, "flags_of"))
+    run(torus9)
+    assert calls == []
 
 
 # -- the star map ---------------------------------------------------------------

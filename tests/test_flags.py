@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_flag_adjacency,
     brute_flags,
+    sign_from_flag,
     simplicial_boundary_matrices,
 )
 
@@ -21,7 +22,6 @@ from cellcomplexes.flags import (
     odd_flag_cycle,
     orient,
     orient_all_cells,
-    sign_from_flag,
     simplicial_signs,
 )
 

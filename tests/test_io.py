@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellcomplexes import fixtures
 from cellcomplexes.cells import CellId
@@ -82,3 +83,43 @@ def test_order_insensitive_and_comments():
 def test_parse_errors(bad):
     with pytest.raises(FormatError):
         loads(bad)
+
+
+
+# cell ids: names and cones over them, the base 0 being the empty cell
+_ids = st.recursive(st.sampled_from(["a", "b", "v0", "e1", "f"]),
+                    lambda inner: st.builds("C({};{})".format, inner,
+                                            st.one_of(inner, st.just("0"))),
+                    max_leaves=4)
+_junk = st.sampled_from(["", "0", "C(0;a)", "C(", "C(a", "C(a;", "C(;)", "C()", "a)",
+                         ";", "cell", "cover", "-1", "1.5", "1e3", "C(a;b))", "é", "\t"])
+_tokens = st.one_of(_ids, _junk, st.integers(-2, 6).map(str),
+                    st.text(min_size=1, max_size=4))
+_lines = st.one_of(
+    st.builds("cell {} {}".format, st.one_of(_ids, _junk), st.integers(-2, 6)),
+    st.builds("cover {} {}".format, st.one_of(_ids, _junk), st.one_of(_ids, _junk)),
+    st.lists(_tokens, max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def _complex_lines(draw):
+    """Distinct cells of rank 0..2 and covers from lower to higher rank
+    among them, in any order."""
+    cells = draw(st.dictionaries(_ids, st.integers(0, 2), max_size=7))
+    pairs = st.tuples(st.sampled_from(sorted(cells)), st.sampled_from(sorted(cells)))
+    covers = draw(st.lists(pairs, max_size=9)) if cells else []
+    lines = ([f"cell {c} {r}" for c, r in cells.items()]
+             + [f"cover {a} {b}" for a, b in covers if cells[a] < cells[b]])
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.one_of(st.lists(_lines, max_size=12), _complex_lines()))
+def test_loads_raises_only_format_errors(header, lines):
+    text = "\n".join(["ccc v1"] * header + lines) + "\n"
+    try:
+        s = loads(text)
+    except FormatError:
+        return
+    assert loads(dumps(s)) == s

@@ -18,6 +18,7 @@ from oracles import (
     canonical_colors,
     dual_colors,
     flipped_colors,
+    reversed_orientation,
     signs_from_colors,
     simplicial_colors,
     stellar_colors,
@@ -26,7 +27,7 @@ from oracles import (
 from cellcomplexes import fixtures
 from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.complexes import from_simplicial, product
-from cellcomplexes.duality import dual_orientations, reversed_orientation
+from cellcomplexes.duality import dual_orientations
 from cellcomplexes.errors import CccError
 from cellcomplexes.flags import flags_of, orient, orient_all_cells, simplicial_signs
 from cellcomplexes.subdivision import barycentric, barycentric_via_stellar, stellar
