@@ -38,8 +38,19 @@ def covering_pairs(s: Ccc):
 
 
 def loads(text: str) -> Ccc:
+    """Read a complex.  Labels are interned: each distinct token is parsed
+    once, and every line naming it gets the same ``CellId``, so the lookups
+    that build the complex match on identity."""
     cell_ranks = []
     covers = []
+    ids = {}  # token -> its parsed label
+
+    def cell_id(token):
+        c = ids.get(token)
+        if c is None:
+            c = ids[token] = parse_cell_id(token)
+        return c
+
     lines = text.splitlines()
     if not lines or lines[0].split("#")[0].strip() != HEADER:
         raise FormatError(f"missing '{HEADER}' header")
@@ -50,9 +61,9 @@ def loads(text: str) -> Ccc:
         parts = line.split()
         try:
             if parts[0] == "cell" and len(parts) == 3:
-                cell_ranks.append((parse_cell_id(parts[1]), int(parts[2])))
+                cell_ranks.append((cell_id(parts[1]), int(parts[2])))
             elif parts[0] == "cover" and len(parts) == 3:
-                covers.append((parse_cell_id(parts[1]), parse_cell_id(parts[2])))
+                covers.append((cell_id(parts[1]), cell_id(parts[2])))
             else:
                 raise FormatError(f"unrecognized line {ln}: {raw!r}")
         except ValueError as e:

@@ -44,6 +44,15 @@ def simplex(n: int) -> Ccc:
     return from_simplicial([tuple(f"s{i}" for i in range(n + 1))])
 
 
+def simplex_boundary(n: int) -> Ccc:
+    """The boundary of the n-simplex on ``s0 .. sn``, an (n - 1)-sphere with
+    2^(n+1) - 2 cells."""
+    if n < 1:
+        raise ValueError("simplex boundary dimension must be positive")
+    verts = [f"s{i}" for i in range(n + 1)]
+    return from_simplicial([[v for v in verts if v != w] for w in verts])
+
+
 def square() -> Ccc:
     """A single square cell as the product of two edges."""
     return product(edge(), edge())
@@ -178,17 +187,19 @@ MAX_CELLS = 100_000
 
 
 def fixture(name: str, *args) -> Ccc:
-    """Look a fixture up by name; ``simplex`` takes its dimension and
-    ``torus`` one or two polygon sizes.  Sizes whose cell count exceeds
-    ``MAX_CELLS`` are refused before anything is built."""
-    if name == "simplex":
+    """Look a fixture up by name; ``simplex`` and ``simplex_boundary`` take
+    a dimension and ``torus`` one or two polygon sizes.  Sizes whose cell
+    count exceeds ``MAX_CELLS`` are refused before anything is built."""
+    if name in ("simplex", "simplex_boundary"):
         if len(args) != 1:
-            raise ValueError("simplex needs a dimension argument")
+            raise ValueError(f"{name} needs a dimension argument")
         n = int(args[0])
+        missing = 1 if name == "simplex" else 2  # the empty face, and the top cell
         # the first test spares computing 2^(n+1) for a huge n
-        if n >= MAX_CELLS.bit_length() or 2 ** (n + 1) - 1 > MAX_CELLS:
-            raise ValueError(f"simplex {n} has 2^{n + 1} - 1 cells, more than {MAX_CELLS}")
-        return simplex(n)
+        if n >= MAX_CELLS.bit_length() or 2 ** (n + 1) - missing > MAX_CELLS:
+            raise ValueError(f"{name} {n} has 2^{n + 1} - {missing} cells, "
+                             f"more than {MAX_CELLS}")
+        return simplex(n) if name == "simplex" else simplex_boundary(n)
     if name == "torus":
         if len(args) not in (1, 2):
             raise ValueError("torus needs one or two polygon sizes")
@@ -199,7 +210,8 @@ def fixture(name: str, *args) -> Ccc:
     try:
         builder = FIXTURES[name]
     except KeyError:
-        known = ", ".join(sorted(FIXTURES) + ["simplex N", "torus N [M]"])
+        known = ", ".join(sorted(FIXTURES)
+                          + ["simplex N", "torus N [M]", "simplex_boundary N"])
         raise ValueError(f"unknown fixture {name!r}; known: {known}") from None
     if args:
         raise ValueError(f"fixture {name!r} takes no arguments")

@@ -16,7 +16,8 @@ closures and quotients slice them; chain maps into subdivisions are dense
 matrices filled entry by entry and composed by matrix products; orders are
 given by every cell strictly below each cell (subsets, products of
 closures, sub-chains), closed by repeated composition, and covers are read
-off closures of closures.
+off closures of closures; greatest lower bounds are looked for on every
+pair of cells.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.chains import Chain, HomologyResult
-from cellcomplexes.complexes import Ccc, simplex_vertices
+from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import (
     Orientation,
@@ -506,3 +507,28 @@ def dense_homology_of_cells(s, mats, cells) -> HomologyResult:
     sliced = [np.zeros((0, len(keep[0])), dtype=np.int64)]
     sliced += [mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, s.dim + 1)]
     return dense_homology([len(k) for k in keep], sliced)
+
+
+# -- axiom 2a ------------------------------------------------------------------
+
+
+def pairwise_meet_violations(s: Ccc) -> list:
+    """The axiom-2a violations of ``s``, found by testing every pair of
+    cells for a greatest lower bound."""
+    cells, below = s._cells, s._below
+    n = len(cells)
+    out = []
+    # pairwise greatest lower bounds generate all finite meets
+    for i in range(n):
+        bi = below[i]
+        for j in range(i + 1, n):
+            common = bi & below[j]
+            if not common:
+                continue
+            top = common.bit_length() - 1
+            if below[top] != common:
+                out.append(AxiomViolation(
+                    "2a", (cells[i], cells[j]),
+                    f"{cells[i]} and {cells[j]} are bounded below "
+                    "but have no greatest lower bound"))
+    return out

@@ -195,6 +195,15 @@ def test_torus_fixture_homology(n, m):
     assert cohomology(s, signs) == h
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_simplex_boundary_fixture_is_a_sphere(n):
+    s = fixtures.fixture("simplex_boundary", str(n))
+    assert len(s) == 2 ** (n + 1) - 2
+    h = homology(s, orient_all_cells(s))
+    assert h.betti == tuple(1 if r in (0, n - 1) else 0 for r in range(n))
+    assert h.torsion == ((),) * n
+
+
 # -- relative homology ---------------------------------------------------------
 
 

@@ -84,7 +84,9 @@ def test_example_torus_too_small():
 @pytest.mark.parametrize("params, count", [(["simplex", "40"], "2^41 - 1"),
                                            (["simplex", "16"], "2^17 - 1"),
                                            (["torus", "1000"], "4000000"),
-                                           (["torus", "50", "501"], "100200")])
+                                           (["torus", "50", "501"], "100200"),
+                                           (["simplex_boundary", "16"], "2^17 - 2"),
+                                           (["simplex_boundary", "40"], "2^41 - 2")])
 def test_example_refuses_fixtures_too_large_to_build(monkeypatch, capsys, params, count):
     def refuse(*args):
         raise AssertionError("a fixture past the cap was built")
@@ -100,6 +102,14 @@ def test_fixtures_up_to_the_cap_still_build():
     assert len(fixtures.fixture("simplex", "4")) == 31
     assert len(fixtures.fixture("torus", "100")) == 40000
     assert fixtures.MAX_CELLS == 100_000
+
+
+def test_example_simplex_boundary_round_trips():
+    code, text = run_cli(["example", "simplex_boundary", "4"])
+    assert code == 0
+    s = fileformat.loads(text)
+    assert s == fixtures.simplex_boundary(4) and len(s) == 30
+    assert fileformat.dumps(s) == text
 
 
 def test_example_writes_file(tmp_path):
@@ -384,6 +394,65 @@ def test_exit_code_matrix(tmp_path):
     for (cmd, name), want in expected.items():
         code, _ = run_cli([cmd, files[name]])
         assert code == want, (cmd, name, code, want)
+
+
+_DIGON = ("ccc v1\ncell a 0\ncell b 0\ncell e 1\ncell f 1\n"
+          "cover a e\ncover b e\ncover a f\ncover b f\n")
+
+
+def _dump(name):
+    return lambda: fileformat.dumps(fixtures.fixture(*name.split()))
+
+
+# (argv with FILE for the input file, the file's contents or None, exit code)
+EXIT_CODES = {
+    "missing file": (["validate", "FILE"], None, 2),
+    "non-UTF-8 bytes": (["validate", "FILE"], b"ccc v1\ncell \xff 0\n", 2),
+    "bad header": (["validate", "FILE"], "ccc v2\ncell a 0\n", 2),
+    "bad cell token": (["validate", "FILE"], "ccc v1\ncell C(a;b 0\n", 2),
+    "duplicate cell": (["validate", "FILE"], "ccc v1\ncell a 0\ncell a 0\n", 2),
+    "unknown cover cell": (["validate", "FILE"], "ccc v1\ncell a 0\ncover a b\n", 2),
+    "rank-inverted cover": (["validate", "FILE"],
+                            "ccc v1\ncell a 0\ncell e 1\ncover e a\n", 2),
+    "unknown subcommand": (["frobnicate", "FILE"], _DIGON, 2),
+    "unknown fixture": (["example", "klein_bottle"], None, 2),
+    "validate bad_axiom4": (["validate", "FILE"], _dump("bad_axiom4"), 1),
+    "validate digon": (["validate", "FILE"], _DIGON, 1),
+    "orient rp2": (["orient", "FILE"], _dump("projective_plane"), 1),
+    "duality rp2": (["duality", "FILE"], _dump("projective_plane"), 1),
+    "duality solid": (["duality", "FILE"], _dump("tetrahedron_solid"), 1),
+    "subdivide at unknown cell": (["subdivide", "FILE", "--at", "zz"], _dump("torus 4"), 1),
+    "validate torus4": (["validate", "FILE"], _dump("torus 4"), 0),
+    "homology torus4": (["homology", "FILE", "--kv"], _dump("torus 4"), 0),
+    "cohomology torus4": (["cohomology", "FILE", "--kv"], _dump("torus 4"), 0),
+}
+
+
+def _exit_code(args, stdin=""):
+    try:
+        return run_cli(args, stdin)[0]
+    except SystemExit as e:  # argparse exits on a bad command line
+        return e.code
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_codes(case, tmp_path):
+    argv, content, code = EXIT_CODES[case]
+    p = tmp_path / "in.ccc"
+    if callable(content):
+        content = content()
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    elif content is not None:
+        p.write_text(content)
+    assert _exit_code([str(p) if a == "FILE" else a for a in argv]) == code
+
+
+def test_nothing_carries_over_between_calls(tmp_path):
+    p = tmp_path / "t4.ccc"
+    p.write_text(fileformat.dumps(fixtures.torus(4)))
+    assert _exit_code(["validate", str(tmp_path / "missing.ccc")]) == 2
+    assert run_cli(["validate", str(p)]) == (0, "ok: 64 cells, all axioms hold\n")
 
 
 def run_declared_script(name: str, *args: str):

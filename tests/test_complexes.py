@@ -4,9 +4,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pairwise_meet_violations
+
 from cellcomplexes import fixtures
 from cellcomplexes.cells import CellId
 from cellcomplexes.complexes import (
+    Ccc,
     build_complex,
     euler_characteristic,
     from_simplicial,
@@ -114,6 +117,67 @@ def test_far_apart_ranks_cost_nothing():
     assert [(v.axiom, v.cells, v.message) for v in report.violations] == [
         ("2b", (C("v"), C("x")), "no cell of rank 1 lies between v and x"),
         ("3", (C("x"),), "x has rank 10000000 but no faces")]
+
+
+def _digon():
+    """Two edges on the same two vertices: bounded below by both, with no
+    greatest lower bound."""
+    return build_complex([(C("a"), 0), (C("b"), 0), (C("e"), 1), (C("f"), 1)],
+                         [(C(v), C(e)) for e in "ef" for v in "ab"])
+
+
+MEET_CASES = {
+    **fixtures.FIXTURES,
+    **{f"simplex{n}": (lambda n=n: fixtures.simplex(n)) for n in range(1, 5)},
+    "torus4": lambda: fixtures.torus(4),
+    "torus3x5": lambda: fixtures.torus(3, 5),
+    "triangle2": lambda: product(fixtures.simplex(2), fixtures.simplex(2)),
+    "digon": _digon,
+}
+
+
+def _meet_violations(s):
+    return [v for v in s.validate_axioms().violations if v.axiom == "2a"]
+
+
+@pytest.mark.parametrize("name", sorted(MEET_CASES))
+def test_meet_violations_match_the_pairwise_oracle(name):
+    s = MEET_CASES[name]()
+    assert _meet_violations(s) == pairwise_meet_violations(s)
+
+
+@st.composite
+def _relations(draw):
+    """Ranks 0..3 on up to nine cells, and a relation in which each cell
+    names cells earlier in a random order whatever their ranks, so that
+    same-rank and rank-raising pairs (axiom-1 failures) occur."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations([C(f"c{k}") for k in range(n)]))
+    ranks = {c: draw(st.integers(0, 3)) for c in order}
+    relation = {x: [y for y in order[:k] if draw(st.booleans())]
+                for k, x in enumerate(order)}
+    return Ccc(ranks, relation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations())
+def test_meet_violations_of_random_relations_match_the_oracle(s):
+    assert _meet_violations(s) == pairwise_meet_violations(s)
+
+
+def test_digon_has_no_meet():
+    assert str(_digon().validate_axioms()).splitlines() == [
+        "axiom 2a: e and f are bounded below but have no greatest lower bound",
+        "axiom 3: e is not the least upper bound of its faces",
+        "axiom 3: f is not the least upper bound of its faces"]
+
+
+def test_meets_are_checked_near_each_cell():
+    s = fixtures.torus(40)
+    t0 = time.perf_counter()
+    report = s.validate_axioms()
+    assert time.perf_counter() - t0 < 1.0
+    assert report.passed
 
 
 def test_repr_counts_cells_by_rank():

@@ -29,11 +29,6 @@ from cellcomplexes.subdivision import barycentric, barycentric_via_stellar, stel
 C = CellId.of
 
 
-def _sphere(n):
-    verts = [f"s{i}" for i in range(n + 1)]
-    return from_simplicial([[v for v in verts if v != w] for w in verts])
-
-
 def _triangle():
     return from_simplicial([("a", "b", "c")])
 
@@ -41,7 +36,8 @@ def _triangle():
 def _complexes():
     out = {name: make() for name, make in fixtures.FIXTURES.items()}
     out.update({f"simplex{n}": fixtures.simplex(n) for n in range(5)})
-    out.update({"sphere3": _sphere(3), "sphere4": _sphere(4),
+    out.update({"sphere3": fixtures.simplex_boundary(3),
+                "sphere4": fixtures.simplex_boundary(4),
                 "torus4": fixtures.torus(4), "torus3x5": fixtures.torus(3, 5),
                 "prism": product(_triangle(), fixtures.edge()),
                 "triangle2": product(_triangle(), from_simplicial([("p", "q", "r")]))})

@@ -7,7 +7,7 @@ from oracles import basis_adjoint_residuals, reversed_orientation
 from cellcomplexes import duality, fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import Chain, boundary, chain_complex, free_cycle_generators
-from cellcomplexes.complexes import build_complex, from_simplicial
+from cellcomplexes.complexes import build_complex
 from cellcomplexes.duality import (
     DualOrientationSet,
     StarMap,
@@ -99,12 +99,6 @@ def test_reversed_orientation_is_valid(torus9):
             assert rev.sign(f) == -rev.sign(nb)
 
 
-def _sphere(n):
-    """The boundary of the n-simplex."""
-    vs = [f"s{i}" for i in range(n + 1)]
-    return from_simplicial([[v for v in vs if v != w] for w in vs])
-
-
 def _orientable_manifold_like(s):
     try:
         orient(s)
@@ -116,7 +110,7 @@ def _orientable_manifold_like(s):
 DUAL_CASES = {
     **{n: (lambda n=n: fixtures.fixture(n)) for n in sorted(fixtures.FIXTURES)
        if _orientable_manifold_like(fixtures.fixture(n))},
-    **{f"sphere{n}": (lambda n=n: _sphere(n)) for n in range(2, 6)},
+    **{f"sphere{n}": (lambda n=n: fixtures.simplex_boundary(n)) for n in range(2, 6)},
     "torus4": lambda: fixtures.torus(4),
     "torus3x5": lambda: fixtures.torus(3, 5),
 }

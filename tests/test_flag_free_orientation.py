@@ -21,11 +21,6 @@ from cellcomplexes.subdivision import barycentric
 C = CellId.of
 
 
-def _boundary(n):
-    vs = [f"s{i}" for i in range(n + 1)]
-    return from_simplicial([[v for v in vs if v != w] for w in vs])
-
-
 def _annulus():
     """A closed surface whose 2-cell A has two boundary circles."""
     edges = {"p1": "a1 a2", "p2": "a1 a2", "q1": "b1 b2", "q2": "b1 b2",
@@ -59,7 +54,7 @@ def _complex(name):
     if kind == "simplex":
         return fixtures.simplex(int(arg))
     if kind == "boundary":
-        return _boundary(int(arg))
+        return fixtures.simplex_boundary(int(arg))
     if kind == "product":
         a, b = map(int, arg.split("x"))
         return product(fixtures.simplex(a), fixtures.simplex(b))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellcomplexes import fixtures
+from cellcomplexes import fileformat, fixtures
 from cellcomplexes.cells import CellId
 from cellcomplexes.complexes import build_complex
 from cellcomplexes.errors import FormatError
@@ -9,11 +9,12 @@ from cellcomplexes.fileformat import covering_pairs, dumps, loads
 from cellcomplexes.subdivision import barycentric, stellar
 
 
-@pytest.mark.parametrize("name", ["point", "edge", "two_triangles", "mobius3",
-                                  "torus9", "tetrahedron_solid", "square"])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_round_trip(name):
     s = fixtures.fixture(name)
-    assert loads(dumps(s)) == s
+    text = dumps(s)
+    assert loads(text) == s
+    assert dumps(loads(text)) == text
 
 
 def test_round_trip_subdivided(torus9, torus9_signs):
@@ -68,6 +69,26 @@ def test_order_insensitive_and_comments():
             "cover b e\n")
     s = loads(text)
     assert len(s) == 3 and s.rank(CellId.of("e")) == 1
+
+
+def test_each_distinct_token_is_parsed_once(count_calls):
+    t = fixtures.torus(4)
+    text = dumps(t)
+    calls = count_calls((fileformat, "parse_cell_id"))
+    assert loads(text) == t
+    assert len(calls) == len(t) == 64  # one per cell; the file names 320 tokens
+
+
+@pytest.mark.parametrize("text, error", [
+    ("ccc v1\ncell a 0\ncell C(a 1\ncover a C(a\n",
+     "line 3: expected ';' in cone id 'C(a'"),
+    ("ccc v1\ncell a 0\ncover a C(a;b\ncell C(a;b 1\n",
+     "line 3: expected ')' in cone id 'C(a;b'"),
+])
+def test_a_bad_token_fails_at_its_first_line(text, error):
+    with pytest.raises(FormatError) as info:
+        loads(text)
+    assert str(info.value) == error
 
 
 @pytest.mark.parametrize("bad", [
