@@ -36,6 +36,13 @@ links are consistent and reach every block.  Wherever a rule fails, or
 the complex is not equidimensional, the flag graphs are 2-colored as the
 definition says, so every error carries the odd flag cycle, component
 count and cell that the flag coloring finds.
+
+That coloring lists no flag up front.  It walks the graph breadth first
+from the least flag, over tuples of cell indices, and reads each flag's
+neighbours off the faces when the flag is reached: in a diamond-shaped
+poset the flags that differ at position i are fixed by the cells at
+i - 1 and i + 1.  It stops at the first conflict, so the certificate is
+the definition's.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .cells import EMPTY, CellId
@@ -58,23 +66,46 @@ from .errors import (
 Flag = tuple  # of CellId, strictly descending by one rank per step
 
 
-def flags_of(s: Ccc, x: CellId) -> list:
-    """All flags below ``x``, each of length ``rank(x) + 1``."""
-    r = s.rank(x)
-    out = []
-    stack = [(x,)]
+def _walk(tops, faces: Callable, length: int):
+    """The chains that start at a cell of ``tops`` and step to a face until
+    they hold ``length`` cells or end at a cell without faces: depth first,
+    smaller faces first, so in lexicographic order when ``tops`` is sorted."""
+    stack = [(t,) for t in reversed(tops)]
     while stack:
         chain = stack.pop()
-        fs = s.faces(chain[-1])
-        if not fs:
-            if s.rank(chain[-1]) != 0:
-                raise CccError(f"cell {chain[-1]} of positive rank has no faces")
-            out.append(chain)
+        fs = () if len(chain) == length else faces(chain[-1])
+        if fs:
+            stack += [chain + (y,) for y in reversed(fs)]
         else:
-            for f in fs:
-                stack.append(chain + (f,))
-    assert all(len(f) == r + 1 for f in out)
-    return sorted(out)
+            yield chain
+
+
+def _face_indices(s: Ccc, tops) -> dict:
+    """The indices of the faces of every cell below the cell indices
+    ``tops``.  Raises for a cell of positive rank without faces: the first
+    one met depth first with the larger faces first."""
+    index, faces, ranks = s._index, s._faces, s._ranks
+    out: dict = {}
+    stack = list(reversed(tops))
+    while stack:
+        i = stack.pop()
+        if i in out:
+            continue
+        fs = out[i] = tuple(index[y] for y in faces[i])
+        if not fs and ranks[i]:
+            raise CccError(f"cell {s.cells[i]} of positive rank has no faces")
+        stack += fs
+    return out
+
+
+def flags_of(s: Ccc, x: CellId) -> list:
+    """All flags below ``x`` in lexicographic order, each of length
+    ``rank(x) + 1``."""
+    n = s.rank(x) + 1
+    out = list(_walk((x,), s.faces, n))
+    if sum(map(len, out)) != n * len(out):  # a chain ends above rank 0
+        _face_indices(s, (s._i(x),))  # raises, naming a cell without faces
+    return out
 
 
 def _equidimensional(s: Ccc) -> bool:
@@ -89,55 +120,93 @@ def _require_equidimensional(s: Ccc):
 
 def all_flags(s: Ccc) -> list:
     _require_equidimensional(s)
-    out = []
-    for top in s.cells_of_rank(s.dim):
-        out.extend(flags_of(s, top))
-    return sorted(out)
+    return [f for top in s.cells_of_rank(s.dim) for f in flags_of(s, top)]
 
 
-@dataclass(frozen=True)
 class FlagGraph:
-    flags: tuple
-    neighbors: Mapping  # Flag -> tuple of adjacent flags
+    """The flags below some cells of one rank, and their adjacency.
+
+    Flags are walked as tuples of cell indices; at one rank, index order
+    is the cells' order, so index tuples sort as the flags do.  A flag's
+    neighbours are read off the faces when it is reached: its cell at
+    position i may be replaced by another face of the cell at i - 1 (by
+    another top cell, when i = 0) that has the cell at i + 1, if any, as
+    a face.
+    ``flags`` and ``neighbors`` list the whole graph in cells when first
+    read.
+    """
+
+    def __init__(self, s: Ccc, tops: Iterable[CellId]):
+        self._cells = s.cells
+        self._tops = tuple(s._i(t) for t in tops)
+        self._faces = faces = _face_indices(s, self._tops)
+        self._length = s._ranks[self._tops[0]] + 1 if self._tops else 0
+        self._above: dict = {}  # face of a top cell -> the top cells over it
+        for t in self._tops:
+            for y in faces[t]:
+                self._above.setdefault(y, []).append(t)
+        self._between: dict = {}  # (x, z) -> the cells y with x > y > z, on first use
+
+    def _index_flags(self):
+        """Every flag, as cell indices, in order."""
+        return _walk(self._tops, self._faces.__getitem__, self._length)
+
+    def _adjacent(self, f: tuple) -> list:
+        """The flags adjacent to ``f``, as cell indices, in order."""
+        if len(f) == 1:
+            return [(t,) for t in self._tops if t != f[0]]
+        faces, between, last = self._faces, self._between, len(f) - 1
+        out = [(z,) + f[1:] for z in self._above[f[1]] if z != f[0]]
+        for i in range(1, last):
+            key = (f[i - 1], f[i + 1])
+            zs = between.get(key)
+            if zs is None:
+                zs = between[key] = tuple(z for z in faces[key[0]] if key[1] in faces[z])
+            for z in zs:
+                if z != f[i]:
+                    out.append(f[:i] + (z,) + f[i + 1:])
+        out += [f[:last] + (z,) for z in faces[f[last - 1]] if z != f[last]]
+        out.sort()
+        return out
+
+    def _in_cells(self, f: tuple) -> Flag:
+        return tuple(map(self._cells.__getitem__, f))
+
+    @cached_property
+    def flags(self) -> tuple:
+        return tuple(map(self._in_cells, self._index_flags()))
+
+    @cached_property
+    def neighbors(self) -> dict:  # Flag -> tuple of adjacent flags
+        return {self._in_cells(f): tuple(map(self._in_cells, self._adjacent(f)))
+                for f in self._index_flags()}
 
     @property
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
 
 
-def _adjacency(flags: Iterable[Flag]) -> dict:
-    buckets: dict = {}
-    for f in flags:
-        for pos in range(len(f)):
-            buckets.setdefault((pos, f[:pos] + f[pos + 1:]), []).append(f)
-    nbrs: dict = {f: [] for f in flags}
-    for group in buckets.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-    return {f: tuple(sorted(v)) for f, v in nbrs.items()}
-
-
 def flag_graph(s: Ccc) -> FlagGraph:
     """Adjacency graph over all flags of an equidimensional complex."""
-    fl = all_flags(s)
-    return FlagGraph(tuple(fl), _adjacency(fl))
+    _require_equidimensional(s)
+    return FlagGraph(s, s.cells_of_rank(s.dim))
 
 
 def _closure_flag_graph(s: Ccc, x: CellId) -> FlagGraph:
-    fl = flags_of(s, x)
-    return FlagGraph(tuple(fl), _adjacency(fl))
+    return FlagGraph(s, (x,))
 
 
 def _two_color(graph: FlagGraph):
-    """2-color the graph.  Returns (colors, odd_cycle, component_count);
-    colors is None when an odd cycle exists."""
+    """2-color the graph breadth first from each uncolored flag in order.
+    Returns (colors, odd_cycle, component_count); colors is None when an
+    odd cycle exists.  Flags are reached one at a time, as cell indices,
+    and only the result is put in cells."""
     colors: dict = {}
     parent: dict = {}
     depth: dict = {}
     components = 0
-    for root in graph.flags:
+    adjacent = graph._adjacent
+    for root in graph._index_flags():
         if root in colors:
             continue
         components += 1
@@ -147,15 +216,18 @@ def _two_color(graph: FlagGraph):
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors[u]:
-                if v not in colors:
-                    colors[v] = -colors[u]
+            cu, du = colors[u], depth[u] + 1
+            for v in adjacent(u):
+                cv = colors.get(v)
+                if cv is None:
+                    colors[v] = -cu
                     parent[v] = u
-                    depth[v] = depth[u] + 1
+                    depth[v] = du
                     queue.append(v)
-                elif colors[v] == colors[u]:
-                    return None, _odd_cycle(u, v, parent, depth), components
-    return colors, None, components
+                elif cv == cu:
+                    cycle = _odd_cycle(u, v, parent, depth)
+                    return None, list(map(graph._in_cells, cycle)), components
+    return {graph._in_cells(f): c for f, c in colors.items()}, None, components
 
 
 def _odd_cycle(u, v, parent, depth):
@@ -178,10 +250,7 @@ def _odd_cycle(u, v, parent, depth):
 
 
 def is_flag_connected(s: Ccc) -> bool:
-    g = flag_graph(s)
-    if not g.flags:
-        return False
-    _, _, components = _two_color(g)
+    _, _, components = _two_color(flag_graph(s))
     return components == 1
 
 
@@ -238,7 +307,7 @@ def orient(s: Ccc) -> Orientation:
         if eps is not None:
             return Orientation(_FlagColors(SignTable(s, signs), eps))
     graph = flag_graph(s)
-    if not graph.flags:
+    if not graph._tops:
         raise NotOrientableError("complex has no flags")
     return _color_or_raise(graph, "complex")
 

@@ -4,11 +4,13 @@ Each oracle recomputes a quantity from first principles along a different
 path than the library: simplicial boundary matrices come straight from
 vertex sets with alternating signs and are reduced with sympy's Smith
 normal form; flag adjacency is rebuilt by comparing all pairs of maximal
-chains; the disjoint-points subdivision is assembled directly from its
-closed-form cell list and order rules; orientations are colorings of every
-flag, built flag by flag (removal permutations, cone pull-backs, dual
-splicing, flag reversal, 2-colorings of flag graphs), and incidence signs
-are read off them; chain boundaries walk faces and cofaces through the
+chains, and flag graphs are listed whole, every flag bucketed by the
+entries it keeps, before they are 2-colored; the disjoint-points
+subdivision is assembled directly from its closed-form cell list and
+order rules; orientations are colorings of every flag, built flag by
+flag (removal permutations, cone pull-backs, dual splicing, flag
+reversal, 2-colorings of flag graphs), and incidence signs are read off
+them; chain boundaries walk faces and cofaces through the
 sign table instead of reading the boundary matrices, and the boundary
 adjunction is checked pair by pair; boundary matrices are dense arrays
 filled entry by entry, cohomology is the homology of their transposes, and
@@ -22,6 +24,8 @@ pair of cells.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -32,14 +36,7 @@ from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
-from cellcomplexes.flags import (
-    Orientation,
-    SignTable,
-    _color_or_raise,
-    flag_graph,
-    flags_of,
-    orient_cell,
-)
+from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
 from cellcomplexes.snf import invariant_factors
 from cellcomplexes.subdivision import cell_of_chain, chain_of_cell
 
@@ -110,7 +107,7 @@ def brute_flags(s: Ccc):
     """Maximal chains through every rank, found by descending comparability
     alone (no face caches)."""
     by_rank = [list(s.cells_of_rank(r)) for r in range(s.dim + 1)]
-    chains = [(c,) for c in by_rank[-1]]
+    chains = [(c,) for c in by_rank[-1]] if by_rank else []
     for r in range(s.dim - 1, -1, -1):
         chains = [ch + (c,) for ch in chains for c in by_rank[r] if s.lt(c, ch[-1])]
     return sorted(chains)
@@ -125,6 +122,100 @@ def brute_flag_adjacency(flags):
             if sum(1 for p, q in zip(a, b) if p != q) == 1:
                 edges.add((a, b))
     return edges
+
+
+@dataclass(frozen=True)
+class ListedFlagGraph:
+    flags: tuple
+    neighbors: dict  # flag -> tuple of adjacent flags
+
+
+def listed_flag_graph(flags) -> ListedFlagGraph:
+    """Every flag and its neighbours, listed before anything is colored."""
+    flags = tuple(flags)
+    return ListedFlagGraph(flags, _adjacency(flags))
+
+
+def brute_flag_graph(s: Ccc) -> ListedFlagGraph:
+    """The flag graph of the whole complex over ``brute_flags``; the
+    library's listing raises first for a complex without flags in the
+    definition's sense (not equidimensional, or a cell without faces)."""
+    all_flags(s)
+    return listed_flag_graph(brute_flags(s))
+
+
+def _adjacency(flags) -> dict:
+    buckets: dict = {}
+    for f in flags:
+        for pos in range(len(f)):
+            buckets.setdefault((pos, f[:pos] + f[pos + 1:]), []).append(f)
+    nbrs: dict = {f: [] for f in flags}
+    for group in buckets.values():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+    return {f: tuple(sorted(v)) for f, v in nbrs.items()}
+
+
+def _two_color(graph):
+    """2-color the graph.  Returns (colors, odd_cycle, component_count);
+    colors is None when an odd cycle exists."""
+    colors: dict = {}
+    parent: dict = {}
+    depth: dict = {}
+    components = 0
+    for root in graph.flags:
+        if root in colors:
+            continue
+        components += 1
+        colors[root] = 1
+        parent[root] = None
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors[u]:
+                if v not in colors:
+                    colors[v] = -colors[u]
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+                elif colors[v] == colors[u]:
+                    return None, _odd_cycle(u, v, parent, depth), components
+    return colors, None, components
+
+
+def _odd_cycle(u, v, parent, depth):
+    left, right = u, v
+    lpath, rpath = [left], [right]
+    while depth[left] > depth[right]:
+        left = parent[left]
+        lpath.append(left)
+    while depth[right] > depth[left]:
+        right = parent[right]
+        rpath.append(right)
+    while left != right:
+        left, right = parent[left], parent[right]
+        lpath.append(left)
+        rpath.append(right)
+    # lpath ends at the common ancestor; walk u..ancestor then back down to v
+    cycle = lpath + rpath[-2::-1]
+    assert len(cycle) % 2 == 1
+    return cycle
+
+
+def _color_or_raise(graph, what: str, cell=None) -> Orientation:
+    """The coloring rooted at the least flag, so that flag is colored +1."""
+    colors, cycle, components = _two_color(graph)
+    if cycle is not None:
+        raise NotOrientableError(f"{what}: flag graph is not bipartite",
+                                 odd_cycle=cycle, cell=cell)
+    if components != 1:
+        raise NotOrientableError(f"{what}: flag graph is disconnected "
+                                 f"({components} components)",
+                                 components=components, cell=cell)
+    return Orientation(colors)
 
 
 # -- orders and covers -------------------------------------------------------
@@ -297,7 +388,7 @@ def canonical_colors(s: Ccc, overrides=None) -> dict:
         elif s.rank(x) == 0:
             colors[x] = {(x,): 1}
         else:
-            colors[x] = dict(orient_cell(s, x).colors)
+            colors[x] = dict(flag_orient_cell(s, x).colors)
     return colors
 
 
@@ -311,10 +402,16 @@ def flag_orient_all_cells(s: Ccc) -> SignTable:
 def flag_orient(s: Ccc):
     """The canonical orientation built from flags: 2-color the flag graph
     of the whole complex from its least flag."""
-    graph = flag_graph(s)
+    graph = brute_flag_graph(s)
     if not graph.flags:
         raise NotOrientableError("complex has no flags")
     return _color_or_raise(graph, "complex")
+
+
+def flag_orient_cell(s: Ccc, x: CellId):
+    """The canonical orientation of ``x``: 2-color the flags below it
+    from the least."""
+    return _color_or_raise(listed_flag_graph(flags_of(s, x)), f"cell {x}", cell=x)
 
 
 def sign_from_flag(table_x: Orientation, table_y: Orientation, flag) -> int:

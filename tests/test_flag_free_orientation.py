@@ -2,20 +2,26 @@
 
 ``orient_all_cells`` signs faces by the diamond rule and ``orient``
 signs top cells by the top-cell rule; neither lists flags unless a rule
-fails.  The oracles 2-color flag graphs as the definition says.  Both
-must give the same signs, vertex signs and colors, and, where a rule
-fails, the same error with the same certificate.
+fails.  Where one fails, the library 2-colors the flag graph lazily,
+reading each flag's neighbours off the faces.  The oracles list every
+flag and every adjacency first and 2-color the listed graph.  Both must
+give the same signs, vertex signs and colors, and, where a rule fails,
+the same error with the same certificate.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import flag_orient, flag_orient_all_cells
+from oracles import brute_flag_graph, brute_flags, flag_orient, flag_orient_all_cells
 
-from cellcomplexes import fixtures, flags
+from cellcomplexes import fileformat, fixtures, flags
 from cellcomplexes.cells import CellId
-from cellcomplexes.complexes import build_complex, from_simplicial, product
-from cellcomplexes.errors import CccError
+from cellcomplexes.cli import main
+from cellcomplexes.complexes import Ccc, build_complex, from_simplicial, product
+from cellcomplexes.duality import verify_duality
+from cellcomplexes.errors import CccError, NotEquidimensionalError, NotOrientableError
 from cellcomplexes.subdivision import barycentric
 
 C = CellId.of
@@ -30,6 +36,31 @@ def _annulus():
     cells += [(C(e), 1) for e in edges] + [(C(f), 2) for f in faces]
     covers = [(C(v), C(e)) for e, vs in edges.items() for v in vs.split()]
     covers += [(C(e), C(f)) for f, es in faces.items() for e in es.split()]
+    return build_complex(cells, covers)
+
+
+def _klein(n):
+    """An n x n grid of squares glued into a Klein bottle: columns wrap
+    straight, rows wrap with a reflection."""
+    def canon(r, c):
+        if c == n:
+            c = 0
+        if r == n:
+            r, c = 0, -c % n
+        return f"v{r}_{c}"
+
+    squares = []
+    for r in range(n):
+        for c in range(n):
+            a, b, d, e = canon(r, c), canon(r, c + 1), canon(r + 1, c), canon(r + 1, c + 1)
+            squares.append([tuple(sorted(p)) for p in ((a, b), (d, e), (a, d), (b, e))])
+    edges = {p for sq in squares for p in sq}
+    name = lambda p: "e" + "-".join(p)
+    cells = [(C(v), 0) for v in {v for p in edges for v in p}]
+    cells += [(C(name(p)), 1) for p in edges]
+    cells += [(C(f"f{i}"), 2) for i in range(len(squares))]
+    covers = [(C(v), C(name(p))) for p in edges for v in p]
+    covers += [(C(name(p)), C(f"f{i}")) for i, sq in enumerate(squares) for p in sq]
     return build_complex(cells, covers)
 
 
@@ -60,6 +91,10 @@ def _complex(name):
         return product(fixtures.simplex(a), fixtures.simplex(b))
     if kind == "rp2":
         return product(fixtures.projective_plane(), fixtures.simplex(int(arg)))
+    if kind == "klein":
+        return _klein(int(arg))
+    if kind == "torus":
+        return fixtures.torus(*map(int, arg.split("x")))
     if kind == "bary":
         base = fixtures.torus(3) if arg == "torus3" else fixtures.fixture(arg)
         return barycentric(base)[0]
@@ -72,8 +107,8 @@ CASES = ([f"fixture:{n}" for n in sorted(fixtures.FIXTURES)]
          + [f"simplex:{n}" for n in range(1, 7)]
          + [f"boundary:{n}" for n in range(4, 7)]
          + [f"product:{a}x{b}" for a in range(1, 4) for b in range(a, 6 - a)]
-         + [f"rp2:{k}" for k in (1, 2)]
-         + ["bary:torus3", "bary:projective_plane", "bary:mobius3", "dual:torus9",
+         + [f"rp2:{k}" for k in (1, 2, 3)]
+         + ["klein:4", "bary:torus3", "bary:projective_plane", "bary:mobius3", "dual:torus9",
             "dual:annulus"]
          + sorted(ODD))
 
@@ -164,3 +199,142 @@ def test_flag_colors_view():
     # the count is the recurrence, and agrees with listing on every cell
     for c in s.cells:
         assert len(table.orientation(c).colors) == len(flags.flags_of(s, c))
+
+
+# -- the flag graph --------------------------------------------------------------
+
+
+def _graph_outcome(make, s):
+    g, err = _outcome(make, s)
+    return (None, err) if g is None else ((g.flags, dict(g.neighbors)), None)
+
+
+def assert_same_flag_graph(s):
+    assert _graph_outcome(flags.flag_graph, s) == _graph_outcome(brute_flag_graph, s)
+
+
+GRAPH_CASES = ([f"fixture:{n}" for n in sorted(fixtures.FIXTURES)]
+               + ["rp2:1", "rp2:2", "bary:mobius3", "torus:3x5"])
+
+
+@pytest.mark.parametrize("name", GRAPH_CASES)
+def test_flag_graph_matches_listed_graph(name):
+    assert_same_flag_graph(_complex(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplices)
+def test_random_flag_graphs_match_listed_graph(simps):
+    assert_same_flag_graph(from_simplicial(simps))
+
+
+@pytest.mark.parametrize("name", ["fixture:torus9", "bary:torus3", "bary2:projective_plane",
+                                  "simplex:6", "simplex:7"])
+def test_flags_of_lists_flags_in_order(name):
+    if name.startswith("bary2:"):
+        s = barycentric(barycentric(fixtures.fixture(name[6:]))[0])[0]
+    else:
+        s = _complex(name)
+    for x in s.cells:
+        assert flags.flags_of(s, x) == brute_flags(s.closure_complex(x))
+
+
+# -- errors ------------------------------------------------------------------------
+
+
+def _faceless_edges():
+    """Three edges, of which f and g have no faces."""
+    ranks = {C("a"): 0, C("b"): 0, C("e"): 1, C("f"): 1, C("g"): 1}
+    return Ccc(ranks, {C("e"): [C("a"), C("b")]})
+
+
+def _faceless_square():
+    """A 2-cell over three edges, of which p and q have no faces."""
+    ranks = {C("a"): 0, C("b"): 0, C("e"): 1, C("p"): 1, C("q"): 1, C("x"): 2}
+    return Ccc(ranks, {C("e"): [C("a"), C("b")], C("x"): [C("e"), C("p"), C("q")]})
+
+
+@pytest.mark.parametrize("make, cell, named", [
+    (_faceless_edges, "g", {"complex": "f", "cell": "g"}),
+    (_faceless_square, "x", {"complex": "q", "cell": "q"}),
+])
+@pytest.mark.parametrize("call", ["orient", "all_flags", "flag_graph", "is_orientable",
+                                  "orient_cell", "flags_of"])
+def test_cells_without_faces_are_named(make, cell, named, call):
+    s = make()
+    fn = getattr(flags, call)
+    per_cell = call in ("orient_cell", "flags_of")
+    with pytest.raises(CccError) as info:
+        fn(s, C(cell)) if per_cell else fn(s)
+    assert type(info.value) is CccError
+    bad = named["cell" if per_cell else "complex"]
+    assert str(info.value) == f"cell {bad} of positive rank has no faces"
+
+
+@pytest.mark.parametrize("call", ["flag_graph", "is_orientable", "all_flags", "orient"])
+def test_flag_graph_needs_equidimensional(call):
+    with pytest.raises(NotEquidimensionalError) as info:
+        getattr(flags, call)(ODD["triangle and edge"]())
+    assert str(info.value) == "flags of the whole complex need all maximal cells at top rank"
+
+
+def test_no_flags():
+    s = build_complex([], [])
+    with pytest.raises(NotOrientableError) as info:
+        flags.orient(s)
+    assert (str(info.value), info.value.odd_cycle, info.value.components) == \
+        ("complex has no flags", None, None)
+    assert not flags.is_orientable(s) and not flags.is_flag_connected(s)
+    assert flags.odd_flag_cycle(s) is None
+
+
+# -- certificates where users see them ---------------------------------------------
+
+
+def _orient_stdout(s, tmp_path):
+    path = tmp_path / "s.ccc"
+    path.write_text(fileformat.dumps(s))
+    out = tmp_path / "stdout"
+    with open(out, "w") as f, pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdout", f)
+        code = main(["orient", str(path)])
+    return code, out.read_text()
+
+
+# sha256 and line count of ``ccc orient`` on each complex, as the flag
+# graph listed whole printed them
+ORIENT_STDOUT = {
+    "rp2:1": ("bec20fcf7b1a49ae721e7fcb1c5a473f1dac03a8640075e6c28170cb4793175b", 23),
+    "fixture:mobius3": ("87f47d08c87c3853a5082e34f890b63a7cd0c12ed22723ab33570c183bbab346", 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORIENT_STDOUT))
+def test_orient_prints_the_same_certificate(name, tmp_path):
+    s = _complex(name)
+    code, out = _orient_stdout(s, tmp_path)
+    with pytest.raises(NotOrientableError) as info:
+        flag_orient(s)
+    assert code == 1
+    assert out.splitlines() == ([f"not orientable: {info.value}", "odd flag cycle:"]
+                                + ["  " + ">".join(map(str, f)) for f in info.value.odd_cycle])
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out.splitlines())) == \
+        ORIENT_STDOUT[name]
+
+
+def test_duality_report_carries_the_certificate():
+    s = _complex("klein:4")
+    with pytest.raises(NotOrientableError) as info:
+        flag_orient(s)
+    report = verify_duality(s)
+    assert report.certificate == info.value.odd_cycle
+    assert str(report) == (f"hypothesis orientable: FAIL ({info.value})\n"
+                           "hypothesis manifold-like: ok")
+
+
+def test_orient_lists_no_flags_before_coloring(count_calls):
+    s = _complex("rp2:2")
+    calls = count_calls((flags, "flags_of"), (flags, "all_flags"))
+    with pytest.raises(NotOrientableError) as info:
+        flags.orient(s)
+    assert info.value.odd_cycle and calls == []
