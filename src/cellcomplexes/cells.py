@@ -5,7 +5,10 @@ labels are created by stellar subdivision: subdividing at ``x`` introduces
 one new cell ``C(x;y)`` for every cell ``y`` of the subdivided star's base,
 plus the new vertex ``C(x;0)`` (cone over the empty cell).  Labels nest
 arbitrarily, compare structurally, and carry a total order so that every
-iteration in the library is deterministic.
+iteration in the library is deterministic.  The order is that of a flat
+sort key, a prefix-free preorder tuple: ``(0,)`` for the empty base,
+``(1, name)`` for a name and ``(2, *apex_key, *base_key)`` for a cone, so
+comparisons run over tuples of names and small ints.
 
 Serialized form: a base cell is its name; a cone is ``C(<apex>;<base>)``
 with ``0`` denoting the empty base.  Names are non-empty tokens without
@@ -23,7 +26,7 @@ class _EmptyBase:
     """Marker for the rank -1 empty cell; usable only as a cone base."""
 
     __slots__ = ()
-    _kind = 0
+    _key = (0,)
     _hash = hash(("a",))
 
     def __repr__(self):
@@ -43,23 +46,24 @@ class CellId:
     to read the serialized form back.
     """
 
-    __slots__ = ("name", "apex", "base", "_kind", "_hash")
+    __slots__ = ("name", "apex", "base", "_key", "_hash")
 
     def __init__(self, *, name=None, apex=None, base=None):
         if name is not None:
             if not name or name == "0" or not _BAD_NAME_CHARS.isdisjoint(name):
                 raise FormatError(f"invalid cell name {name!r}")
-            kind, h = 1, hash(("b", name))
+            key, h = (1, name), hash(("b", name))
         else:
             if not isinstance(apex, CellId):
                 raise FormatError("cone apex must be a CellId")
             if not (base is EMPTY or isinstance(base, CellId)):
                 raise FormatError("cone base must be a CellId or EMPTY")
-            kind, h = 2, hash(("c", apex._hash, base._hash))
+            # the key is computed on first use (_sort_key)
+            key, h = None, hash(("c", apex._hash, base._hash))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", h)
 
     @classmethod
@@ -82,19 +86,27 @@ class CellId:
             return True
         if not isinstance(other, CellId) or self._hash != other._hash:
             return False
-        return _compare(self, other) == 0
+        return _sort_key(self) == _sort_key(other)
 
     def __lt__(self, other):
-        return _compare(self, other) < 0
+        if not _is_label(other):
+            return NotImplemented
+        return _sort_key(self) < _sort_key(other)
 
     def __le__(self, other):
-        return _compare(self, other) <= 0
+        if not _is_label(other):
+            return NotImplemented
+        return _sort_key(self) <= _sort_key(other)
 
     def __gt__(self, other):
-        return _compare(self, other) > 0
+        if not _is_label(other):
+            return NotImplemented
+        return _sort_key(self) > _sort_key(other)
 
     def __ge__(self, other):
-        return _compare(self, other) >= 0
+        if not _is_label(other):
+            return NotImplemented
+        return _sort_key(self) >= _sort_key(other)
 
     def __hash__(self):
         return self._hash
@@ -121,28 +133,32 @@ class CellId:
         return str(self)
 
 
-def _compare(a, b) -> int:
-    """-1, 0 or 1 as ``a`` sorts below, equal to or above ``b``.
+def _is_label(x) -> bool:
+    return x is EMPTY or isinstance(x, CellId)
 
-    The empty base sorts first, then names, then cones, which compare
-    apex first and base second.  The walk keeps its own stack, so labels
-    of any depth compare.
+
+def _sort_key(c) -> tuple:
+    """The flat sort key of a label or of the empty base.
+
+    A cone's key is computed on first use and kept.  The walk keeps its
+    own stack and reuses the keys its parts already hold, but stores none
+    for them, so a chain of deep labels compared only at its top costs
+    one key, not one per level.
     """
-    todo = []  # base pairs still to compare once the apexes tie
-    while True:
-        if a is not b:
-            if a._kind != b._kind:
-                return -1 if a._kind < b._kind else 1
-            if a._kind == 1:
-                if a.name != b.name:
-                    return -1 if a.name < b.name else 1
+    key = c._key
+    if key is None:
+        out, todo = [], [c]
+        while todo:
+            x = todo.pop()
+            k = x._key
+            if k is not None:
+                out += k
             else:
-                todo.append((a.base, b.base))
-                a, b = a.apex, b.apex
-                continue
-        if not todo:
-            return 0
-        a, b = todo.pop()
+                out.append(2)
+                todo += (x.base, x.apex)
+        key = tuple(out)
+        object.__setattr__(c, "_key", key)
+    return key
 
 
 def parse_cell_id(token: str) -> CellId:

@@ -10,6 +10,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -120,15 +121,14 @@ def _cmd_subdivide(args) -> int:
     if args.tower_dir and not args.bary_via_stellar:
         raise ValueError("--tower-dir needs --bary-via-stellar")
     s = _read(args.file)
-    signs = orient_all_cells(s)
     if args.at:
-        x = parse_cell_id(args.at)
-        result, _ = stellar(s, x, signs)
+        signs = orient_all_cells(s)
+        result, _ = stellar(s, parse_cell_id(args.at), signs)
         out = result.complex
-    elif args.barycentric:
+    elif args.barycentric:  # takes no signs, so needs no orientation
         out, _ = barycentric(s)
     else:
-        tower = barycentric_via_stellar(s, signs)
+        tower = barycentric_via_stellar(s, orient_all_cells(s))
         out = tower.final
         if args.tower_dir:
             d = Path(args.tower_dir)
@@ -223,8 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, OSError, ValueError) as e:

@@ -17,11 +17,12 @@ The four axioms a combinatorial cell complex must satisfy:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .cells import CellId
+from .cells import CellId, _sort_key
 from .errors import (
     CoverCycleError,
     DuplicateCellError,
@@ -82,7 +83,9 @@ class Ccc:
                  "_faces", "_cofaces", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
-        cells = sorted(ranks, key=lambda c: (ranks[c], c))
+        order = sorted([(r, _sort_key(c), c) for c, r in ranks.items()])
+        cells = [c for _, _, c in order]
+        rank_of = [r for r, _, _ in order]
         index = {c: i for i, c in enumerate(cells)}
         n = len(cells)
         rel = [[index[d] for d in relation.get(c, ())] for c in cells]
@@ -109,25 +112,23 @@ class Ccc:
         for i in reversed(done):
             for j in rel[i]:
                 above[j] |= above[i]
-        rank_masks: dict[int, int] = {}
-        for i, c in enumerate(cells):
-            rank_masks.setdefault(ranks[c], 0)
-            rank_masks[ranks[c]] |= 1 << i
+        # cells are sorted by rank, so each rank's cells form one index range
+        rank_masks = {r: (1 << bisect_right(rank_of, r)) - (1 << bisect_left(rank_of, r))
+                      for r in dict.fromkeys(rank_of)}
         faces = []
-        cofaces = []
+        cofaces = [[] for _ in range(n)]  # filled by inverting the face lists
         for i, c in enumerate(cells):
-            r = ranks[c]
-            fm = below[i] & rank_masks.get(r - 1, 0)
-            cm = above[i] & rank_masks.get(r + 1, 0)
-            faces.append(tuple(cells[j] for j in _bits(fm)))
-            cofaces.append(tuple(cells[j] for j in _bits(cm)))
+            fs = tuple(_bits(below[i] & rank_masks.get(rank_of[i] - 1, 0)))
+            faces.append(tuple(cells[j] for j in fs))
+            for j in fs:
+                cofaces[j].append(c)
         self._cells = tuple(cells)
-        self._ranks = tuple(ranks[c] for c in cells)
+        self._ranks = tuple(rank_of)
         self._index = index
         self._below = below
         self._above = above
         self._faces = tuple(faces)
-        self._cofaces = tuple(cofaces)
+        self._cofaces = tuple(map(tuple, cofaces))
         self._rank_masks = rank_masks
         self._dim = max(self._ranks) if cells else -1
 
@@ -187,12 +188,15 @@ class Ccc:
     def covers(self, x: CellId) -> tuple:
         """The cells below ``x`` with no cell strictly between: its faces,
         when the axioms hold."""
-        i = self._i(x)
+        return tuple(map(self._cells.__getitem__, self._covers(self._i(x))))
+
+    def _covers(self, i: int) -> tuple:
+        """The indices of the covers of the cell at index ``i``, ascending."""
         strict = self._below[i] ^ (1 << i)
         under = 0
         for j in _bits(strict):
             under |= self._below[j] ^ (1 << j)
-        return tuple(self._cells[j] for j in _bits(strict & ~under))
+        return tuple(_bits(strict & ~under))
 
     def maximal_cells(self) -> tuple:
         return tuple(c for i, c in enumerate(self._cells)

@@ -257,8 +257,11 @@ def verify_duality(s: Ccc) -> DualityReport:
         "H(dual subdivided)": h_bsd, "cohomology(S)": coh_s,
     })
 
+    # the dual numbers the same cells differently: compare chains as cell
+    # sets, numbering the dual's cells as S does (-1: not a cell of S)
+    in_s = [s._index.get(c, -1) for c in sd.cells]
     chains_s = {frozenset(ch) for ch in _chains(s)}
-    chains_sd = {frozenset(ch) for ch in _chains(sd)}
+    chains_sd = {frozenset(map(in_s.__getitem__, ch)) for ch in _chains(sd)}
     report.checks.append(("subdivision invariance", h_s == h_bs))
     report.checks.append(("dual subdivision invariance", h_sd == h_bsd))
     report.checks.append(("subdivisions of complex and dual coincide",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import IO
 
-from .cells import parse_cell_id
+from .cells import _sort_key, parse_cell_id
 from .complexes import Ccc, build_complex
 from .errors import CccError, FormatError
 
@@ -19,11 +19,10 @@ HEADER = "ccc v1"
 
 
 def dumps(s: Ccc) -> str:
+    names = [str(c) for c in s.cells]  # each label is written out once
     lines = [HEADER]
-    for c in s.cells:
-        lines.append(f"cell {c} {s.rank(c)}")
-    for lo, hi in covering_pairs(s):
-        lines.append(f"cover {lo} {hi}")
+    lines += [f"cell {name} {r}" for name, r in zip(names, s._ranks)]
+    lines += [f"cover {names[j]} {names[i]}" for i, j in _cover_indices(s)]
     return "\n".join(lines) + "\n"
 
 
@@ -34,7 +33,15 @@ def dump(s: Ccc, fp: IO[str]) -> None:
 def covering_pairs(s: Ccc):
     """Pairs y < x with nothing strictly between, x in canonical order and
     the y of each x sorted by label."""
-    return [(y, x) for x in s.cells for y in sorted(s.covers(x))]
+    cells = s.cells
+    return [(cells[j], cells[i]) for i, j in _cover_indices(s)]
+
+
+def _cover_indices(s: Ccc):
+    """The index pairs (x, y) of :func:`covering_pairs`."""
+    keys = [_sort_key(c) for c in s.cells]
+    return [(i, j) for i in range(len(keys))
+            for j in sorted(s._covers(i), key=keys.__getitem__)]
 
 
 def loads(text: str) -> Ccc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cells import CellId, EMPTY
 from .chains import Chain, ChainComplex, HomologyResult, _push, chain_complex, homology_of
-from .complexes import Ccc
+from .complexes import Ccc, _bits
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, flags_of
 from .snf import SparseMatrix
@@ -221,12 +221,14 @@ def chain_of_cell(s: Ccc, cid: CellId):
 
 
 def _chains(s: Ccc) -> list:
-    """Every non-empty ascending chain of cells of ``s``."""
-    chains_by_top: dict = {}
-    for c in s.cells:  # ascending rank order
-        chains_by_top[c] = [(c,)] + [ch + (c,) for b in s.closure([c]) if b != c
-                                     for ch in chains_by_top[b]]
-    return [ch for per in chains_by_top.values() for ch in per]
+    """Every non-empty ascending chain of cells of ``s``, as a tuple of
+    indices into ``s.cells``; shorter chains come first."""
+    ups = [tuple(_bits(m ^ (1 << i))) for i, m in enumerate(s._above)]
+    out, level = [], [(i,) for i in range(len(ups))]
+    while level:
+        out += level
+        level = [ch + (j,) for ch in level for j in ups[ch[-1]]]
+    return out
 
 
 def barycentric(s: Ccc):
@@ -234,19 +236,31 @@ def barycentric(s: Ccc):
 
     Cells are chains ordered by inclusion and rank is length minus one.
     Members of a chain are ranked by their rank in ``s``, and removing the
-    i-th largest member carries sign (-1)^i.
+    i-th largest member carries sign (-1)^i.  Each chain's label is one
+    cone over the label of a face (see :func:`cell_of_chain`): the face
+    without its second member when the chain starts at a vertex, without
+    its first member otherwise.
     """
-    all_chains = _chains(s)
-    label = {ch: cell_of_chain(s, ch) for ch in all_chains}
-    ranks = {label[ch]: len(ch) - 1 for ch in all_chains}
-    if len(ranks) != len(all_chains):
+    cells, ranks_s = s.cells, s._ranks
+    label = {(): EMPTY}  # chain -> its cell
+    ranks, below, signs = {}, {}, {}
+    for ch in _chains(s):  # the faces of a chain come before it
+        if ranks_s[ch[0]] == 0:
+            c = CellId.cone(cells[ch[1]], label[ch[:1] + ch[2:]]) if ch[1:] else cells[ch[0]]
+        elif ch[1:] and ranks_s[ch[1]] == 0:  # a vertex above a cell of positive rank
+            c = cell_of_chain(s, tuple(cells[i] for i in ch))
+        else:
+            c = CellId.cone(cells[ch[0]], label[ch[1:]])
+        label[ch] = c
+        r = ranks[c] = len(ch) - 1
+        if r:
+            faces = below[c] = []
+            for k in range(r + 1):
+                f = label[ch[:k] + ch[k + 1:]]
+                faces.append(f)
+                signs[(c, f)] = -1 if (r - k) % 2 else 1
+    if len(ranks) != len(label) - 1:
         raise CccError("chain labels collide; complex already uses them")
-    # the face without ch[k] drops the (len(ch) - 1 - k)-th largest member
-    signs = {(label[ch], label[ch[:k] + ch[k + 1:]]): (-1) ** (len(ch) - 1 - k)
-             for ch in all_chains if len(ch) > 1 for k in range(len(ch))}
-    below = {c: [] for c in ranks}
-    for c, face in signs:
-        below[c].append(face)
     out = Ccc(ranks, below)
     return out, SignTable(out, signs)
 

@@ -18,8 +18,10 @@ closures and quotients slice them; chain maps into subdivisions are dense
 matrices filled entry by entry and composed by matrix products; orders are
 given by every cell strictly below each cell (subsets, products of
 closures, sub-chains), closed by repeated composition, and covers are read
-off closures of closures; greatest lower bounds are looked for on every
-pair of cells.
+off closures of closures, and cofaces off the up-set masks; greatest
+lower bounds are looked for on every pair of cells; labels are ordered
+by walking both nested labels, and the barycentric subdivision labels
+every chain of cells from scratch.
 """
 
 from __future__ import annotations
@@ -629,3 +631,59 @@ def pairwise_meet_violations(s: Ccc) -> list:
                     f"{cells[i]} and {cells[j]} are bounded below "
                     "but have no greatest lower bound"))
     return out
+
+
+# -- labels and the barycentric subdivision -------------------------------------
+
+
+def _compare(a, b) -> int:
+    """-1, 0 or 1 as ``a`` sorts below, equal to or above ``b``, by walking
+    both labels: the empty base sorts first, then names, then cones, which
+    compare apex first and base second.  The walk keeps its own stack, so
+    labels of any depth compare."""
+    kind = lambda c: 0 if c is EMPTY else 1 if c.name is not None else 2
+    todo = []  # base pairs still to compare once the apexes tie
+    while True:
+        if a is not b:
+            if kind(a) != kind(b):
+                return -1 if kind(a) < kind(b) else 1
+            if kind(a) == 1:
+                if a.name != b.name:
+                    return -1 if a.name < b.name else 1
+            else:
+                todo.append((a.base, b.base))
+                a, b = a.apex, b.apex
+                continue
+        if not todo:
+            return 0
+        a, b = todo.pop()
+
+
+def label_walk_barycentric(s: Ccc):
+    """The barycentric subdivision built over labels: chains of cells grown
+    from the closure of each top cell, each labelled from scratch by
+    ``cell_of_chain``, and a sign written for every removal of a member."""
+    chains_by_top: dict = {}
+    # a cell strictly below another has the smaller closure
+    for c in sorted(s.cells, key=lambda c: len(s.closure([c]))):
+        chains_by_top[c] = [(c,)] + [ch + (c,) for b in s.closure([c]) if b != c
+                                     for ch in chains_by_top[b]]
+    all_chains = [ch for per in chains_by_top.values() for ch in per]
+    label = {ch: cell_of_chain(s, ch) for ch in all_chains}
+    ranks = {label[ch]: len(ch) - 1 for ch in all_chains}
+    assert len(ranks) == len(all_chains), "chain labels collide"
+    # the face without ch[k] drops the (len(ch) - 1 - k)-th largest member
+    signs = {(label[ch], label[ch[:k] + ch[k + 1:]]): (-1) ** (len(ch) - 1 - k)
+             for ch in all_chains if len(ch) > 1 for k in range(len(ch))}
+    below = {c: [] for c in ranks}
+    for c, face in signs:
+        below[c].append(face)
+    out = Ccc(ranks, below)
+    return out, SignTable(out, signs)
+
+
+def mask_cofaces(s: Ccc) -> dict:
+    """The cells one rank up in the up-set mask of each cell."""
+    return {x: tuple(s.cells[j] for j in range(len(s))
+                     if s._above[i] >> j & 1 and s._ranks[j] == s._ranks[i] + 1)
+            for i, x in enumerate(s.cells)}

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cellcomplexes.cells import CellId, EMPTY, _compare, parse_cell_id
+from oracles import _compare
+
+from cellcomplexes.cells import CellId, EMPTY, parse_cell_id
 from cellcomplexes.errors import FormatError
 
 
@@ -130,3 +132,38 @@ def test_walked_order_is_the_nested_key_order(a, b):
     assert _compare(a, b) == want
     assert _compare(b, a) == -want
     assert (a < b, a <= b, a == b, a >= b, a > b) == (ka < kb, ka <= kb, ka == kb, ka >= kb, ka > kb)
+
+
+def _nested(depth):
+    """Labels at least ``depth`` cones deep, on the apex side, the base
+    side or both; the other side is a shallow label or the empty base."""
+    names = st.sampled_from("ab").map(CellId.of)
+    if depth == 0:
+        return names
+    sub, shallow = _nested(depth - 1), _ids(1)
+    return st.one_of(
+        st.tuples(sub, st.one_of(st.just(EMPTY), shallow, sub)),
+        st.tuples(shallow, sub),
+    ).map(lambda t: CellId.cone(*t))
+
+
+@settings(max_examples=200)
+@given(_nested(4), _nested(4))
+def test_sort_key_order_is_the_walked_order(a, b):
+    for x, y in ((a, b), (a, parse_cell_id(str(a))), (b, a)):
+        want = _compare(x, y)
+        assert (x < y, x == y, x > y) == (want < 0, want == 0, want > 0)
+        assert (x <= y, x >= y, x != y) == (want <= 0, want >= 0, want != 0)
+        if want == 0:
+            assert hash(x) == hash(y)
+    assert EMPTY < a and a > EMPTY and not a < EMPTY
+
+
+def test_comparing_with_a_non_label_raises_type_error():
+    a = CellId.of("a")
+    for bad in (lambda: a < "a", lambda: a <= 1, lambda: "a" > a, lambda: sorted([a, None])):
+        with pytest.raises(TypeError):
+            bad()
+    assert a != "a" and not a == "a"
+    assert EMPTY < a and a > EMPTY and a >= EMPTY
+    assert sorted([CellId.cone(a, EMPTY), a]) == [a, CellId.cone(a, EMPTY)]

@@ -10,11 +10,12 @@ import pytest
 from oracles import flag_orient
 
 import cellcomplexes
-from cellcomplexes import fileformat, fixtures
+from cellcomplexes import cli, fileformat, fixtures
 from cellcomplexes.cli import main
 from cellcomplexes.complexes import from_simplicial
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import all_flags
+from cellcomplexes.subdivision import barycentric
 
 
 def run_cli(args, stdin: str = ""):
@@ -295,6 +296,16 @@ def test_subdivide_barycentric_pipe(torus_file):
     assert out.splitlines() == ["H_0 = Z^1", "H_1 = Z^2", "H_2 = Z^1"]
 
 
+def test_subdivide_barycentric_needs_no_orientation(tmp_path):
+    # bad_axiom4 has a cell whose flag graph is not bipartite
+    s = fixtures.bad_axiom4()
+    p = tmp_path / "bad.ccc"
+    p.write_text(fileformat.dumps(s))
+    code, out = run_cli(["subdivide", str(p), "--barycentric"])
+    assert code == 0
+    assert out == fileformat.dumps(barycentric(s)[0])
+
+
 def test_subdivide_tower_with_manifest(torus_file, tmp_path):
     d = tmp_path / "tower"
     code, out = run_cli(["subdivide", torus_file, "--bary-via-stellar",
@@ -453,6 +464,15 @@ def test_nothing_carries_over_between_calls(tmp_path):
     p.write_text(fileformat.dumps(fixtures.torus(4)))
     assert _exit_code(["validate", str(tmp_path / "missing.ccc")]) == 2
     assert run_cli(["validate", str(p)]) == (0, "ok: 64 cells, all axioms hold\n")
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    p = tmp_path / "t4.ccc"
+    p.write_text(fileformat.dumps(fixtures.torus(4)))
+    assert run_cli(["validate", str(p)])[0] == 0
+    assert _exit_code(["validate", "--no-such-flag"]) == 2
 
 
 def run_declared_script(name: str, *args: str):

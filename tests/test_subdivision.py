@@ -10,6 +10,7 @@ from oracles import (
     dense_identity,
     dense_stellar_map,
     disjoint_stellar_description,
+    label_walk_barycentric,
 )
 
 from cellcomplexes import fixtures, subdivision
@@ -17,6 +18,7 @@ from cellcomplexes.cells import CellId, EMPTY
 from cellcomplexes.chains import Chain, chain_complex, homology, homology_of, is_acyclic
 from cellcomplexes.complexes import euler_characteristic
 from cellcomplexes.errors import CccError, UnknownCellError
+from cellcomplexes.fileformat import dumps
 from cellcomplexes.flags import flag_graph, orient_all_cells
 from cellcomplexes.subdivision import (
     ChainMap,
@@ -351,6 +353,36 @@ def test_barycentric_alternating_signs(torus9):
             assert signs.s(c, face) == (-1) ** i
             checked += 1
     assert checked == 108 * 2 + 72 * 3
+
+
+def _bary_inputs():
+    """Every fixture, simplex 1-4, torus 4 and the boundary of the
+    4-simplex, with the duals of the manifold-like ones; each with its
+    barycentric subdivision, whose own subdivision is compared too (but
+    for the 4-simplex: its second subdivision has 97 561 cells)."""
+    out = {name: make() for name, make in fixtures.FIXTURES.items()}
+    out.update({f"simplex{n}": fixtures.simplex(n) for n in range(1, 5)})
+    out.update({"torus4": fixtures.torus(4), "sphere4": fixtures.simplex_boundary(4)})
+    for name, s in list(out.items()):
+        if s.classify().manifold_like:
+            out[f"{name} dual"] = s.dual()
+    for name, s in list(out.items()):
+        if name != "simplex4":
+            out[f"{name} barycentric"] = barycentric(s)[0]
+    return out
+
+
+BARY_INPUTS = _bary_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(BARY_INPUTS))
+def test_barycentric_matches_the_label_walk(name):
+    s = BARY_INPUTS[name]
+    got, got_signs = barycentric(s)
+    want, want_signs = label_walk_barycentric(s)
+    assert got.cells == want.cells
+    assert got_signs.signs == want_signs.signs
+    assert dumps(got) == dumps(want)
 
 
 def test_chain_labels_round_trip(torus9):
