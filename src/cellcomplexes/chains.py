@@ -99,7 +99,15 @@ class ChainComplex:
         return Chain(degree, items)
 
     def from_vector(self, vec, degree: int) -> Chain:
-        return Chain(degree, {c: int(v) for c, v in zip(self.bases[degree], vec)})
+        """The chain with coefficient ``vec[k]`` on the k-th cell of the
+        degree's basis."""
+        if not 0 <= degree <= self.dim:
+            raise ValueError(f"degree {degree} is outside 0..{self.dim}")
+        basis = self.bases[degree]
+        if len(vec) != len(basis):
+            raise ValueError(f"a degree-{degree} vector has {len(basis)} "
+                             f"entries, not {len(vec)}")
+        return Chain(degree, {c: int(v) for c, v in zip(basis, vec)})
 
 
 def chain_complex(s: Ccc, signs: SignTable, augmented: bool = False) -> ChainComplex:

@@ -80,7 +80,7 @@ class Ccc:
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
-                 "_faces", "_cofaces", "_rank_masks", "_dim")
+                 "_faces", "_face_ix", "_cofaces", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
         order = sorted([(r, _sort_key(c), c) for c, r in ranks.items()])
@@ -115,10 +115,11 @@ class Ccc:
         # cells are sorted by rank, so each rank's cells form one index range
         rank_masks = {r: (1 << bisect_right(rank_of, r)) - (1 << bisect_left(rank_of, r))
                       for r in dict.fromkeys(rank_of)}
-        faces = []
+        faces, face_ix = [], []
         cofaces = [[] for _ in range(n)]  # filled by inverting the face lists
         for i, c in enumerate(cells):
             fs = tuple(_bits(below[i] & rank_masks.get(rank_of[i] - 1, 0)))
+            face_ix.append(fs)
             faces.append(tuple(cells[j] for j in fs))
             for j in fs:
                 cofaces[j].append(c)
@@ -128,6 +129,7 @@ class Ccc:
         self._below = below
         self._above = above
         self._faces = tuple(faces)
+        self._face_ix = tuple(face_ix)  # the same faces, as indices
         self._cofaces = tuple(map(tuple, cofaces))
         self._rank_masks = rank_masks
         self._dim = max(self._ranks) if cells else -1

@@ -37,14 +37,14 @@ from .flags import (
     _FlagColors,
     _canonical_signs,
     _closure_flag_graph,
+    _component_count,
+    _derive_signs,
     _diamond_signs,
     _down,
-    _least_flag,
-    _two_color,
     orient,
 )
 # Unused here; kept because bench/tracing.py patches these names.
-from .flags import _derive_signs, flags_of, orient_all_cells  # noqa: F401
+from .flags import _two_color, flags_of, orient_all_cells  # noqa: F401
 from .subdivision import chain_of_cell  # noqa: F401
 from .subdivision import _chains, barycentric
 
@@ -113,9 +113,7 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
     maximal = s.maximal_cells()
     is_maximal = set(maximal)
     signs = _canonical_signs(s, [x for x in s.cells if x not in is_maximal])
-    for x in maximal:
-        for y in s.faces(x):
-            signs[(x, y)] = omega.sign((x,) + _least_flag(s, y))
+    signs.update(_derive_signs(s, dict.fromkeys(maximal, omega)))
     vertex_signs = {x: omega.sign((x,)) for x in maximal if s.rank(x) == 0}
     dual_signs = SignTable(sd, {(y, x): v for (x, y), v in signs.items()})
 
@@ -227,10 +225,10 @@ def verify_duality(s: Ccc) -> DualityReport:
     # orient_all_cells has already raised for any other closure of S that
     # is not flag-connected; the maximal cells took the global colouring
     for name, cx, cells in (("complex", s, s.maximal_cells()), ("dual", sd, sd.cells)):
-        if _diamond_signs(cx, cx.cells) is not None:
+        if _diamond_signs(cx, cx.cells)[1] is None:
             cells = ()  # the rule signs every cell: every closure is flag-connected
         bad = next((x for x in cells
-                    if _two_color(_closure_flag_graph(cx, x))[2] != 1), None)
+                    if _component_count(_closure_flag_graph(cx, x)) != 1), None)
         report.hypotheses.append((f"cells of the {name} flag-connected",
                                   bad is None,
                                   "" if bad is None else f"cell {bad}"))

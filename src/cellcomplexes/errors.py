@@ -47,8 +47,8 @@ class NotOrientableError(CccError):
     """A flag graph is disconnected or not bipartite.
 
     ``odd_cycle`` carries a closed odd walk of flags when bipartiteness
-    fails; ``components`` carries one flag per component when connectivity
-    fails.  ``cell`` names the offending cell for per-cell orientations.
+    fails; ``components`` carries the number of components, an ``int``,
+    when connectivity fails.  ``cell`` names the offending cell for per-cell orientations.
     """
 
     def __init__(self, message, *, odd_cycle=None, components=None, cell=None):

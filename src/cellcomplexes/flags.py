@@ -32,17 +32,19 @@ cell, and two top cells ``x1, x2`` sharing a face ``y`` need
 ``e(x1) s(x1, y) = -e(x2) s(x2, y)``; walking these links from the least
 top cell with ``e = +1`` orients the complex: the top-cell rule.  With
 oriented faces, a flag graph is connected and bipartite exactly when its
-links are consistent and reach every block.  Wherever a rule fails, or
-the complex is not equidimensional, the flag graphs are 2-colored as the
-definition says, so every error carries the odd flag cycle, component
-count and cell that the flag coloring finds.
+links are consistent and reach every block, so the diamond rule first
+fails at the first cell whose closure is not orientable or not
+flag-connected.  Where a rule fails, or the complex is not
+equidimensional, that one flag graph is 2-colored as the definition
+says, so every error carries the odd flag cycle, component count and
+cell that the flag coloring finds.
 
 That coloring lists no flag up front.  It walks the graph breadth first
 from the least flag, over tuples of cell indices, and reads each flag's
-neighbours off the faces when the flag is reached: in a diamond-shaped
-poset the flags that differ at position i are fixed by the cells at
-i - 1 and i + 1.  It stops at the first conflict, so the certificate is
-the definition's.
+neighbours off the face indices that ``Ccc`` keeps when the flag is
+reached: in a diamond-shaped poset the flags that differ at position i
+are fixed by the cells at i - 1 and i + 1.  It stops at the first
+conflict, so the certificate is the definition's.
 """
 
 from __future__ import annotations
@@ -80,32 +82,33 @@ def _walk(tops, faces: Callable, length: int):
             yield chain
 
 
-def _face_indices(s: Ccc, tops) -> dict:
-    """The indices of the faces of every cell below the cell indices
-    ``tops``.  Raises for a cell of positive rank without faces: the first
-    one met depth first with the larger faces first."""
-    index, faces, ranks = s._index, s._faces, s._ranks
-    out: dict = {}
+def _require_faces(s: Ccc, tops):
+    """Raises for a cell of positive rank without faces below the cell
+    indices ``tops``: the first one met depth first with the larger faces
+    first."""
+    faces, ranks = s._face_ix, s._ranks
+    seen = set()
     stack = list(reversed(tops))
     while stack:
         i = stack.pop()
-        if i in out:
+        if i in seen:
             continue
-        fs = out[i] = tuple(index[y] for y in faces[i])
+        seen.add(i)
+        fs = faces[i]
         if not fs and ranks[i]:
             raise CccError(f"cell {s.cells[i]} of positive rank has no faces")
         stack += fs
-    return out
 
 
 def flags_of(s: Ccc, x: CellId) -> list:
     """All flags below ``x`` in lexicographic order, each of length
     ``rank(x) + 1``."""
-    n = s.rank(x) + 1
-    out = list(_walk((x,), s.faces, n))
+    i = s._i(x)
+    n = s._ranks[i] + 1
+    out = list(_walk((i,), s._face_ix.__getitem__, n))
     if sum(map(len, out)) != n * len(out):  # a chain ends above rank 0
-        _face_indices(s, (s._i(x),))  # raises, naming a cell without faces
-    return out
+        _require_faces(s, (i,))  # raises, naming a cell without faces
+    return [tuple(map(s.cells.__getitem__, f)) for f in out]
 
 
 def _equidimensional(s: Ccc) -> bool:
@@ -139,7 +142,8 @@ class FlagGraph:
     def __init__(self, s: Ccc, tops: Iterable[CellId]):
         self._cells = s.cells
         self._tops = tuple(s._i(t) for t in tops)
-        self._faces = faces = _face_indices(s, self._tops)
+        _require_faces(s, self._tops)
+        self._faces = faces = s._face_ix
         self._length = s._ranks[self._tops[0]] + 1 if self._tops else 0
         self._above: dict = {}  # face of a top cell -> the top cells over it
         for t in self._tops:
@@ -203,7 +207,6 @@ def _two_color(graph: FlagGraph):
     and only the result is put in cells."""
     colors: dict = {}
     parent: dict = {}
-    depth: dict = {}
     components = 0
     adjacent = graph._adjacent
     for root in graph._index_flags():
@@ -212,33 +215,28 @@ def _two_color(graph: FlagGraph):
         components += 1
         colors[root] = 1
         parent[root] = None
-        depth[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            cu, du = colors[u], depth[u] + 1
+            cu = colors[u]
             for v in adjacent(u):
                 cv = colors.get(v)
                 if cv is None:
                     colors[v] = -cu
                     parent[v] = u
-                    depth[v] = du
                     queue.append(v)
                 elif cv == cu:
-                    cycle = _odd_cycle(u, v, parent, depth)
+                    cycle = _odd_cycle(u, v, parent)
                     return None, list(map(graph._in_cells, cycle)), components
     return {graph._in_cells(f): c for f, c in colors.items()}, None, components
 
 
-def _odd_cycle(u, v, parent, depth):
+def _odd_cycle(u, v, parent):
+    """The odd cycle through the same-colored neighbours ``u`` and ``v``.
+    Colors alternate with breadth-first depth, so the two lie at equal
+    depth, and their tree paths meet after equally many steps."""
     left, right = u, v
     lpath, rpath = [left], [right]
-    while depth[left] > depth[right]:
-        left = parent[left]
-        lpath.append(left)
-    while depth[right] > depth[left]:
-        right = parent[right]
-        rpath.append(right)
     while left != right:
         left, right = parent[left], parent[right]
         lpath.append(left)
@@ -249,9 +247,26 @@ def _odd_cycle(u, v, parent, depth):
     return cycle
 
 
+def _component_count(graph: FlagGraph) -> int:
+    """The number of connected components, over every flag."""
+    seen: set = set()
+    components = 0
+    for root in graph._index_flags():
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        todo = [root]
+        while todo:
+            for v in graph._adjacent(todo.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return components
+
+
 def is_flag_connected(s: Ccc) -> bool:
-    _, _, components = _two_color(flag_graph(s))
-    return components == 1
+    return _component_count(flag_graph(s)) == 1
 
 
 def odd_flag_cycle(s: Ccc):
@@ -301,8 +316,8 @@ def orient(s: Ccc) -> Orientation:
     NotOrientableError carries an odd-cycle certificate or a component
     count.
     """
-    signs = _diamond_signs(s, s.cells) if _equidimensional(s) else None
-    if signs is not None:
+    signs, bad = _diamond_signs(s, s.cells)
+    if bad is None and _equidimensional(s):
         eps = _link_signs({x: _down(s, signs, x) for x in s.cells_of_rank(s.dim)})
         if eps is not None:
             return Orientation(_FlagColors(SignTable(s, signs), eps))
@@ -475,30 +490,30 @@ def _link_signs(down: Mapping):
     return e if len(e) == len(down) else None
 
 
-def _diamond_signs(s: Ccc, cells) -> dict | None:
+def _diamond_signs(s: Ccc, cells) -> tuple:
     """The canonical signs of the faces of ``cells`` (closed under taking
-    faces, in canonical order) by the diamond rule, or None if it fails
-    at some cell."""
+    faces, in canonical order) by the diamond rule, and the first cell at
+    which it fails (None if there is none; the signs then stop there)."""
     signs: dict = {}
     down: dict = {}  # signed cell -> its faces with their signs
     for x in cells:
         if s.rank(x):
             e = _link_signs({y: down[y] for y in s.faces(x)})
             if e is None:
-                return None
+                return signs, x
             for y in s.faces(x):
                 signs[(x, y)] = e[y]
         down[x] = _down(s, signs, x)
-    return signs
+    return signs, None
 
 
 def _canonical_signs(s: Ccc, cells) -> dict:
     """The canonical signs of the faces of ``cells``.  Where the diamond
-    rule fails, the closures are 2-colored flag by flag, which raises for
-    the first cell whose closure is not orientable or not flag-connected."""
-    signs = _diamond_signs(s, cells)
-    if signs is None:
-        signs = _derive_signs(s, {x: orient_cell(s, x) for x in cells if s.rank(x)})
+    rule fails, the closure of the cell it stops at is not orientable or
+    not flag-connected, and 2-coloring it raises with the certificate."""
+    signs, bad = _diamond_signs(s, cells)
+    if bad is not None:
+        orient_cell(s, bad)  # raises
     return signs
 
 

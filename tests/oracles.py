@@ -207,6 +207,22 @@ def _odd_cycle(u, v, parent, depth):
     return cycle
 
 
+def component_count(graph) -> int:
+    """The number of connected components of a listed graph, each flag
+    joined to its neighbours by merging labels until nothing changes."""
+    label = {f: i for i, f in enumerate(graph.flags)}
+    changed = True
+    while changed:
+        changed = False
+        for f, nbrs in graph.neighbors.items():
+            low = min([label[f]] + [label[g] for g in nbrs])
+            for g in (f, *nbrs):
+                if label[g] != low:
+                    label[g] = low
+                    changed = True
+    return len(set(label.values()))
+
+
 def _color_or_raise(graph, what: str, cell=None) -> Orientation:
     """The coloring rooted at the least flag, so that flag is colored +1."""
     colors, cycle, components = _two_color(graph)

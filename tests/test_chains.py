@@ -122,6 +122,15 @@ def test_boundary_agrees_with_face_walk(name, augmented):
             assert coboundary(c, cc) == coface_walk_coboundary(c, cc)
 
 
+def test_from_vector(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs)
+    assert cc.from_vector(range(18), 1) == Chain(1, dict(zip(cc.bases[1], range(18))))
+    # torus9 has 9, 18 and 9 cells in degrees 0, 1 and 2
+    for vec, degree in (([1], 1), ([1] * 9, -1), ([1] * 9, 3), ([1] * 17, 1)):
+        with pytest.raises(ValueError):
+            cc.from_vector(vec, degree)
+
+
 def test_chain_arithmetic():
     a = Chain(1, {C("x"): 2, C("y"): -1})
     b = Chain(1, {C("y"): 1})

@@ -139,8 +139,12 @@ def assert_same_orientations(s):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_rules_match_flag_colorings(name):
-    assert_same_orientations(_complex(name))
+def test_rules_match_flag_colorings(name, count_calls):
+    s = _complex(name)
+    calls = count_calls((flags, "_two_color"))
+    _outcome(flags.orient_all_cells, s)
+    assert len(calls) <= 1  # only the closure where the diamond rule stops
+    assert_same_orientations(s)
 
 
 def test_failing_cases_fail():
@@ -228,15 +232,35 @@ def test_random_flag_graphs_match_listed_graph(simps):
     assert_same_flag_graph(from_simplicial(simps))
 
 
-@pytest.mark.parametrize("name", ["fixture:torus9", "bary:torus3", "bary2:projective_plane",
-                                  "simplex:6", "simplex:7"])
+def _listed(fn, *args):
+    """The flags ``fn`` lists, or the message of the CccError it raises."""
+    try:
+        return list(fn(*args))
+    except CccError as e:
+        return str(e)
+
+
+def _brute_listed(s):
+    """``brute_flags(s)``, or the error the library raises first: not
+    equidimensional, or a cell of positive rank without faces."""
+    if not flags._equidimensional(s):
+        return "flags of the whole complex need all maximal cells at top rank"
+    faceless = [c for c in s.cells if s.rank(c) and not s.faces(c)]
+    return f"cell {faceless[0]} of positive rank has no faces" if faceless else brute_flags(s)
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) | {"bary2:projective_plane", "simplex:7"}))
 def test_flags_of_lists_flags_in_order(name):
     if name.startswith("bary2:"):
         s = barycentric(barycentric(fixtures.fixture(name[6:]))[0])[0]
     else:
         s = _complex(name)
+    assert s._face_ix == tuple(tuple(map(s._index.__getitem__, s.faces(x))) for x in s.cells)
     for x in s.cells:
-        assert flags.flags_of(s, x) == brute_flags(s.closure_complex(x))
+        assert _listed(flags.flags_of, s, x) == _brute_listed(s.closure_complex(x))
+    want = _brute_listed(s)
+    assert _listed(flags.all_flags, s) == want
+    assert _listed(lambda: flags.flag_graph(s).flags) == want
 
 
 # -- errors ------------------------------------------------------------------------

@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_flag_adjacency,
+    brute_flag_graph,
     brute_flags,
+    component_count,
     sign_from_flag,
     simplicial_boundary_matrices,
 )
 
-from cellcomplexes import fixtures
+from cellcomplexes import fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import chain_complex
 from cellcomplexes.complexes import from_simplicial
@@ -95,7 +97,35 @@ def test_disjoint_triangles_not_flag_connected():
     assert not is_orientable(s)
     with pytest.raises(NotOrientableError) as e:
         orient(s)
-    assert e.value.components == 2
+    assert type(e.value.components) is int and e.value.components == 2
+
+
+_RP2 = [f.split("_") for f in map(str, fixtures.projective_plane().cells_of_rank(2))]
+
+
+@pytest.mark.parametrize("triangle", ["x y z", "a b c"])
+def test_projective_plane_and_a_triangle_not_flag_connected(triangle):
+    # the 2-coloring of RP2 stops at its first odd cycle; the count does not
+    s = from_simplicial(_RP2 + [triangle.split()])
+    assert not is_flag_connected(s)
+    assert is_flag_connected(fixtures.projective_plane())
+
+
+# pieces on disjoint vertex sets, ordered by their prefixes; "p" marks a copy of RP2
+_pieces = st.lists(st.one_of(st.just("p"), st.lists(
+    st.sets(st.sampled_from("abcde"), min_size=3, max_size=3), min_size=1, max_size=5)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pieces, st.permutations("fghij"))
+def test_flag_components_of_disjoint_unions(pieces, prefixes):
+    simps = [[pre + v for v in f] for pre, piece in zip(prefixes, pieces)
+             for f in (_RP2 if piece == "p" else piece)]
+    s = from_simplicial(simps)
+    want = component_count(brute_flag_graph(s))
+    assert flags._component_count(flag_graph(s)) == want
+    assert is_flag_connected(s) == (want == 1)
 
 
 @pytest.mark.parametrize("name", ["two_triangles", "torus9", "tetrahedron_solid",
