@@ -18,8 +18,9 @@ from .cells import EMPTY, CellId
 from .complexes import Ccc
 from .errors import EmptyComplexError, UnknownCellError
 from .flags import SignTable
-from .snf import (SparseMatrix, invariant_factors, kernel_basis, matmul, smith_normal_form,
-                  solve_columns)
+from .snf import SparseMatrix, invariant_factors, smith_normal_form
+# Unused here; kept because bench/tracing.py patches these names.
+from .snf import kernel_basis, matmul, solve_columns  # noqa: F401
 
 
 @dataclass
@@ -96,6 +97,9 @@ class ChainComplex:
             if len(degrees) != 1:
                 raise ValueError("chain coefficients must live in one degree")
             degree = degrees.pop()
+        for c in items:
+            if self.complex.rank(c) != degree:
+                raise ValueError(f"cell {c} does not have rank {degree}")
         return Chain(degree, items)
 
     def from_vector(self, vec, degree: int) -> Chain:
@@ -260,48 +264,41 @@ def h0_components(s: Ccc) -> int:
 def free_cycle_generators(cc: ChainComplex, i: int) -> list:
     """Cycles representing a basis of the free part of degree-``i`` homology.
 
-    Kernel coordinates come from the Smith normal form of the outgoing
-    boundary; the incoming boundary is rewritten in those coordinates and
-    reduced again, leaving one representative per free factor.  A greedy
-    pass shrinks supports by boundary columns.  Degrees outside 0..dim have none.
+    One Smith form ``U D_i V = diag`` of the outgoing boundary gives the
+    cycles, the columns of ``V`` past its rank.  Every column of the
+    incoming boundary is a cycle, so its coordinates in them are the same
+    rows of ``V^-1`` times the column.  A Smith form of those coordinates
+    leaves one representative per free factor, and a greedy pass shrinks
+    supports by boundary columns.  On an augmented complex degree zero
+    gives reduced generators.  Degrees outside 0..dim have none.
     """
     if not 0 <= i <= cc.dim:
         return []
-    n_i = len(cc.bases[i])
-    d_out = cc.boundary_matrix(i)
-    if d_out.size and i > 0:
-        kb = kernel_basis(d_out.tolist())
-    else:
-        kb = [[1 if r == j else 0 for r in range(n_i)] for j in range(n_i)]
-    k = len(kb)
-    if k == 0:
-        return []
-    d_in = cc.boundary_matrix(i + 1)
-    if d_in.size:
-        coords = solve_columns(kb, d_in.tolist())
-    else:
-        coords = [[] for _ in range(k)]
-    snf = smith_normal_form(coords)
-    kmat = [[kb[j][r] for j in range(k)] for r in range(n_i)]
+    out = smith_normal_form(np.asarray(cc.sparse_boundary(i)))
+    cycles = range(out.rank, len(out.v))
+    d_in = cc.sparse_boundary(i + 1).column_entries()
+    coords = [[sum(out.v_inv[c][r] * x for r, x in col.items()) for col in d_in]
+              for c in cycles]
+    quo = smith_normal_form(coords)
     gens = []
-    for j in range(snf.rank, k):
-        col = [[snf.u_inv[r][j]] for r in range(k)]
-        vec = [row[0] for row in matmul(kmat, col)]
+    for j in range(quo.rank, len(cycles)):
+        weights = [(c, quo.u_inv[t][j]) for t, c in enumerate(cycles)]
+        vec = [sum(row[c] * w for c, w in weights) for row in out.v]
         gens.append(_reduce_support(vec, d_in))
     return gens
 
 
-def _reduce_support(vec, d_in) -> list:
-    cols = [list(d_in[:, j]) for j in range(d_in.shape[1])] if d_in.size else []
-    vec = list(vec)
-    nnz = lambda v: sum(1 for x in v if x)
+def _reduce_support(vec: list, cols: list) -> list:
+    """Add or subtract each column, a dict from row to entry, while that
+    shrinks the support of ``vec``."""
     improved = True
     while improved:
         improved = False
         for b in cols:
             for sgn in (1, -1):
-                cand = [x + sgn * y for x, y in zip(vec, b)]
-                if nnz(cand) < nnz(vec):
-                    vec = cand
+                gain = sum((vec[r] != 0) - (vec[r] + sgn * x != 0) for r, x in b.items())
+                if gain > 0:
+                    for r, x in b.items():
+                        vec[r] += sgn * x
                     improved = True
-    return [int(x) for x in vec]
+    return vec

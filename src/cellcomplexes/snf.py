@@ -5,12 +5,14 @@ only the diagonal and track no transforms: :func:`invariant_factors` and
 :func:`matrix_rank` read the columns of a :class:`SparseMatrix` (dense
 input is accepted), eliminate their unit entries and hand the small
 non-unit remainder to the dense engine.  The dense engine,
-:func:`smith_normal_form`, and the entry points built on it,
-:func:`kernel_basis` and :func:`solve_columns`, track all four transforms.
+:func:`smith_normal_form`, tracks all four transforms.
 Its pivoting picks the entry of smallest nonzero magnitude and moves it
 into place, which keeps coefficient growth tame on small dense matrices.
 Its factorization satisfies ``U @ M @ V == diag`` with ``U``, ``V``
-unimodular, and the inverse transforms are tracked alongside.
+unimodular, and the inverse transforms are tracked alongside.  Cycle
+representatives read the kernel of a boundary off ``V`` and the
+coordinates of cycles in that kernel off ``V^-1`` of one factorization;
+:func:`kernel_basis` and :func:`solve_columns` are built on it as well.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class SmithNormalForm:
 def smith_normal_form(matrix) -> SmithNormalForm:
     a = _tolists(matrix)
     m = len(a)
-    n = len(a[0]) if m else 0
+    # a matrix without rows still has columns, which only its shape tells
+    n = matrix.shape[1] if hasattr(matrix, "shape") else len(a[0]) if m else 0
     u, u_inv = _identity(m), _identity(m)
     v, v_inv = _identity(n), _identity(n)
 

@@ -21,7 +21,8 @@ closures, sub-chains), closed by repeated composition, and covers are read
 off closures of closures, and cofaces off the up-set masks; greatest
 lower bounds are looked for on every pair of cells; labels are ordered
 by walking both nested labels, and the barycentric subdivision labels
-every chain of cells from scratch.
+every chain of cells from scratch; cycle representatives solve for
+kernel coordinates with a third Smith form over dense boundaries.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
-from cellcomplexes.snf import invariant_factors
+from cellcomplexes.snf import (invariant_factors, kernel_basis, matmul, smith_normal_form,
+                               solve_columns)
 from cellcomplexes.subdivision import cell_of_chain, chain_of_cell
 
 
@@ -703,3 +705,52 @@ def mask_cofaces(s: Ccc) -> dict:
     return {x: tuple(s.cells[j] for j in range(len(s))
                      if s._above[i] >> j & 1 and s._ranks[j] == s._ranks[i] + 1)
             for i, x in enumerate(s.cells)}
+
+
+# -- cycle representatives -------------------------------------------------
+
+
+def solved_cycle_generators(cc, i: int) -> list:
+    """Free cycle generators from three Smith forms: a kernel basis of the
+    dense outgoing boundary, the incoming boundary solved for in it, and
+    the quotient of those coordinates; degree zero takes every vertex."""
+    if not 0 <= i <= cc.dim:
+        return []
+    n_i = len(cc.bases[i])
+    d_out = cc.boundary_matrix(i)
+    if d_out.size and i > 0:
+        kb = kernel_basis(d_out.tolist())
+    else:
+        kb = [[1 if r == j else 0 for r in range(n_i)] for j in range(n_i)]
+    k = len(kb)
+    if k == 0:
+        return []
+    d_in = cc.boundary_matrix(i + 1)
+    if d_in.size:
+        coords = solve_columns(kb, d_in.tolist())
+    else:
+        coords = [[] for _ in range(k)]
+    snf = smith_normal_form(coords)
+    kmat = [[kb[j][r] for j in range(k)] for r in range(n_i)]
+    gens = []
+    for j in range(snf.rank, k):
+        col = [[snf.u_inv[r][j]] for r in range(k)]
+        vec = [row[0] for row in matmul(kmat, col)]
+        gens.append(_dense_reduce_support(vec, d_in))
+    return gens
+
+
+def _dense_reduce_support(vec, d_in) -> list:
+    cols = [list(d_in[:, j]) for j in range(d_in.shape[1])] if d_in.size else []
+    vec = list(vec)
+    nnz = lambda v: sum(1 for x in v if x)
+    improved = True
+    while improved:
+        improved = False
+        for b in cols:
+            for sgn in (1, -1):
+                cand = [x + sgn * y for x, y in zip(vec, b)]
+                if nnz(cand) < nnz(vec):
+                    vec = cand
+                    improved = True
+    return [int(x) for x in vec]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import coface_walk_coboundary, face_walk_boundary, simplicial_homology
+from oracles import (coface_walk_coboundary, face_walk_boundary, simplicial_homology,
+                     solved_cycle_generators)
 
-from cellcomplexes import fixtures
+from cellcomplexes import chains, fixtures
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import (
     Chain,
@@ -129,6 +130,15 @@ def test_from_vector(torus9, torus9_signs):
     for vec, degree in (([1], 1), ([1] * 9, -1), ([1] * 9, 3), ([1] * 17, 1)):
         with pytest.raises(ValueError):
             cc.from_vector(vec, degree)
+
+
+def test_chain_checks_ranks(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs)
+    assert cc.chain({C("e00"): 1}, 1) == cc.chain({C("e00"): 1}) == Chain(1, {C("e00"): 1})
+    assert cc.chain({}, 7) == Chain(7)
+    for degree in (0, 2, 7):
+        with pytest.raises(ValueError, match=f"cell e00 does not have rank {degree}"):
+            cc.chain({C("e00"): 1}, degree)
 
 
 def test_chain_arithmetic():
@@ -370,6 +380,8 @@ def test_random_simplicial_against_oracle(simps):
     h = homology(s, simplicial_signs(s))
     betti, torsion = simplicial_homology(facets)
     assert h.betti == betti and h.torsion == torsion
+    for augmented in (False, True):
+        _check_generators(chain_complex(s, simplicial_signs(s), augmented=augmented))
 
 
 @settings(max_examples=20, deadline=None)
@@ -403,3 +415,38 @@ def test_sphere_h2_generator(tetra_boundary, tetra_boundary_signs):
 @pytest.mark.parametrize("degree", [-2, -1, 3, 4])
 def test_no_generators_outside_the_degrees(torus9, torus9_signs, degree):
     assert free_cycle_generators(chain_complex(torus9, torus9_signs), degree) == []
+
+
+def _check_generators(cc):
+    """One generator per free factor in every degree, each a cycle; in
+    augmented degree zero reduced ones, elsewhere the oracle's."""
+    betti = homology_of(cc).betti
+    for i in range(-1, cc.dim + 2):
+        gens = free_cycle_generators(cc, i)
+        assert len(gens) == (betti[i] if 0 <= i <= cc.dim else 0)
+        if cc.augmented and i == 0:
+            assert all(sum(g) == 0 for g in gens)
+        else:
+            assert gens == solved_cycle_generators(cc, i)
+        if gens and i > 0:
+            assert not (cc.boundary_matrix(i) @ np.array(gens).T).any()
+
+
+_GENERATOR_CASES = ([(name,) for name in sorted(set(fixtures.FIXTURES) - {"bad_axiom4"})]
+                    + [("simplex", n) for n in range(1, 5)]
+                    + [("simplex_boundary", n) for n in range(2, 6)]
+                    + [("torus", 4), ("torus", 3, 5)])
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("case", _GENERATOR_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_generators_count_free_factors(case, augmented, count_calls):
+    s = fixtures.fixture(*case)
+    cc = chain_complex(s, orient_all_cells(s), augmented=augmented)
+    calls = count_calls((chains, "smith_normal_form"), (chains, "kernel_basis"),
+                        (chains, "solve_columns"), (chains, "matmul"))
+    for i in range(s.dim + 1):
+        free_cycle_generators(cc, i)
+        assert calls == ["smith_normal_form"] * 2
+        calls.clear()
+    _check_generators(cc)

@@ -55,6 +55,9 @@ def test_rank_one():
 def test_empty_shapes():
     assert smith_normal_form([]).diagonal == []
     assert smith_normal_form([[], []]).diagonal == []
+    # an array without rows keeps its columns
+    snf = smith_normal_form(np.zeros((0, 3), dtype=int))
+    assert snf.v == snf.v_inv == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and snf.rank == 0
 
 
 def test_known_dense_case():
@@ -73,6 +76,9 @@ def test_kernel_basis():
     assert len(kb) == 1
     v = kb[0]
     assert [sum(r[i] * v[i] for i in range(3)) for r in mat] == [0, 0]
+    # with no rows, or a zero row, every vector is in the kernel
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(np.zeros((0, 3), dtype=int)) == kernel_basis([[0, 0, 0]]) == eye
 
 
 def test_solve_columns_round_trip():
