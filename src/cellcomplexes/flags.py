@@ -266,16 +266,20 @@ def _component_count(graph: FlagGraph) -> int:
 
 
 def is_flag_connected(s: Ccc) -> bool:
-    return _component_count(flag_graph(s)) == 1
+    return _rule_orientation(s) is not None or _component_count(flag_graph(s)) == 1
 
 
 def odd_flag_cycle(s: Ccc):
     """A closed odd walk in the flag graph, or None if the graph is bipartite."""
+    if _rule_orientation(s) is not None:
+        return None
     _, cycle, _ = _two_color(flag_graph(s))
     return cycle
 
 
 def is_orientable(s: Ccc) -> bool:
+    if _rule_orientation(s) is not None:
+        return True
     colors, cycle, components = _two_color(flag_graph(s))
     return cycle is None and components == 1
 
@@ -316,15 +320,25 @@ def orient(s: Ccc) -> Orientation:
     NotOrientableError carries an odd-cycle certificate or a component
     count.
     """
+    omega = _rule_orientation(s)
+    if omega is not None:
+        return omega
+    graph = flag_graph(s)
+    if not graph._tops:
+        raise NotOrientableError("complex has no flags")
+    return _color_or_raise(graph, "complex")
+
+
+def _rule_orientation(s: Ccc):
+    """The orientation the diamond and top-cell rules give, or None where
+    either fails.  Where it is given, the flag graph is connected and
+    bipartite, so no predicate on it needs to list flags."""
     signs, bad = _diamond_signs(s, s.cells)
     if bad is None and _equidimensional(s):
         eps = _link_signs({x: _down(s, signs, x) for x in s.cells_of_rank(s.dim)})
         if eps is not None:
             return Orientation(_FlagColors(SignTable(s, signs), eps))
-    graph = flag_graph(s)
-    if not graph._tops:
-        raise NotOrientableError("complex has no flags")
-    return _color_or_raise(graph, "complex")
+    return None
 
 
 def orient_cell(s: Ccc, x: CellId) -> Orientation:

@@ -9,7 +9,10 @@ non-unit remainder to the dense engine.  The dense engine,
 Its pivoting picks the entry of smallest nonzero magnitude and moves it
 into place, which keeps coefficient growth tame on small dense matrices.
 Its factorization satisfies ``U @ M @ V == diag`` with ``U``, ``V``
-unimodular, and the inverse transforms are tracked alongside.  Cycle
+unimodular.  Each transform lives in a list that its operations already
+walk: ``U`` to the right of ``A`` in one list of rows, ``V`` under ``A``
+as more rows for the column operations, and ``U^-1``, kept transposed,
+and ``V^-1`` changed by row operations.  Cycle
 representatives read the kernel of a boundary off ``V`` and the
 coordinates of cycles in that kernel off ``V^-1`` of one factorization;
 :func:`kernel_basis` and :func:`solve_columns` are built on it as well.
@@ -20,16 +23,13 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 
 def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _tolists(matrix):
-    return [[int(v) for v in row] for row in matrix]
 
 
 def matmul(a, b):
@@ -60,42 +60,35 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix) -> SmithNormalForm:
-    a = _tolists(matrix)
-    m = len(a)
+    m = len(matrix)
     # a matrix without rows still has columns, which only its shape tells
-    n = matrix.shape[1] if hasattr(matrix, "shape") else len(a[0]) if m else 0
-    u, u_inv = _identity(m), _identity(m)
-    v, v_inv = _identity(n), _identity(n)
+    n = matrix.shape[1] if hasattr(matrix, "shape") else len(matrix[0]) if m else 0
+    a = [[int(x) for x in row] + e for row, e in zip(matrix, _identity(m))]  # rows of [A | U]
+    for i, row in enumerate(a):
+        if len(row) != n + m:
+            raise ValueError(f"row {i} has {len(row) - m} entries, not {n}")
+    v, v_inv = _identity(n), _identity(n)  # V is kept under A
+    ut = _identity(m)  # U^-1 transposed: it changes by row operations, as V^-1 does
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+        ut[i], ut[j] = ut[j], ut[i]
 
     def row_add(i, j, q):  # row i += q * row j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= q * r[i]
+        ut[j] = [x - q * y for x, y in zip(ut[j], ut[i])]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        ut[i] = [-x for x in ut[i]]
 
     def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
+        for r in chain(a, v):
             r[i], r[j] = r[j], r[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i, j, q):  # col i += q * col j
-        for r in a:
-            r[i] += q * r[j]
-        for r in v:
+        for r in chain(a, v):
             r[i] += q * r[j]
         v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
 
@@ -158,6 +151,7 @@ def smith_normal_form(matrix) -> SmithNormalForm:
 
     diagonal = [a[i][i] for i in range(min(m, n))]
     rank = sum(1 for d in diagonal if d)
+    u, u_inv = [r[n:] for r in a], [list(c) for c in zip(*ut)]
     return SmithNormalForm(diagonal, rank, u, u_inv, v, v_inv)
 
 

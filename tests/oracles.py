@@ -22,7 +22,9 @@ off closures of closures, and cofaces off the up-set masks; greatest
 lower bounds are looked for on every pair of cells; labels are ordered
 by walking both nested labels, and the barycentric subdivision labels
 every chain of cells from scratch; cycle representatives solve for
-kernel coordinates with a third Smith form over dense boundaries.
+kernel coordinates with a third Smith form over dense boundaries; the
+dense Smith normal form keeps each of its four transforms as a matrix of
+its own, written in a loop of its own by every elementary operation.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
-from cellcomplexes.snf import (invariant_factors, kernel_basis, matmul, smith_normal_form,
-                               solve_columns)
+from cellcomplexes.snf import (SmithNormalForm, invariant_factors, kernel_basis, matmul,
+                               smith_normal_form, solve_columns)
 from cellcomplexes.subdivision import cell_of_chain, chain_of_cell
 
 
@@ -104,6 +106,123 @@ def sympy_invariant_factors(matrix):
     return sorted(abs(int(d[i, i])) for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
 
 
+# -- the dense Smith normal form ----------------------------------------------
+
+
+def _identity(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _tolists(matrix):
+    return [[int(v) for v in row] for row in matrix]
+
+
+def looped_smith_normal_form(matrix) -> SmithNormalForm:
+    """The dense Smith normal form with its four transforms, each kept as
+    its own matrix: every elementary operation writes ``A``, then the direct
+    transform, then the inverse transform, in separate loops.  The pivots
+    and the order of operations are the library engine's."""
+    a = _tolists(matrix)
+    m = len(a)
+    # a matrix without rows still has columns, which only its shape tells
+    n = matrix.shape[1] if hasattr(matrix, "shape") else len(a[0]) if m else 0
+    u, u_inv = _identity(m), _identity(m)
+    v, v_inv = _identity(n), _identity(n)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, q):  # row i += q * row j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in u_inv:
+            r[j] -= q * r[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def col_add(i, j, q):  # col i += q * col j
+        for r in a:
+            r[i] += q * r[j]
+        for r in v:
+            r[i] += q * r[j]
+        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def pivot_to(t):
+        """Move the smallest-magnitude nonzero of a[t:, t:] to (t, t)."""
+        best = None
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if abs(x) == 1:
+                        break
+            if best and best[0] == 1:
+                break
+        if best is None:
+            return False
+        _, i, j = best
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        if a[t][t] < 0:
+            row_neg(t)
+        return True
+
+    t = 0
+    while t < min(m, n):
+        if not pivot_to(t):
+            break
+        while True:
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        row_add(i, t, -q)
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        col_add(j, t, -q)
+            if any(a[i][t] for i in range(t + 1, m)) or \
+               any(a[t][j] for j in range(t + 1, n)):
+                pivot_to(t)  # a remainder became the new, smaller pivot
+                continue
+            bad = None
+            d = a[t][t]
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % d:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        t += 1
+
+    diagonal = [a[i][i] for i in range(min(m, n))]
+    rank = sum(1 for d in diagonal if d)
+    return SmithNormalForm(diagonal, rank, u, u_inv, v, v_inv)
+
+
 # -- flags ------------------------------------------------------------------
 
 
@@ -162,7 +281,7 @@ def _adjacency(flags) -> dict:
     return {f: tuple(sorted(v)) for f, v in nbrs.items()}
 
 
-def _two_color(graph):
+def two_color(graph):
     """2-color the graph.  Returns (colors, odd_cycle, component_count);
     colors is None when an odd cycle exists."""
     colors: dict = {}
@@ -227,7 +346,7 @@ def component_count(graph) -> int:
 
 def _color_or_raise(graph, what: str, cell=None) -> Orientation:
     """The coloring rooted at the least flag, so that flag is colored +1."""
-    colors, cycle, components = _two_color(graph)
+    colors, cycle, components = two_color(graph)
     if cycle is not None:
         raise NotOrientableError(f"{what}: flag graph is not bipartite",
                                  odd_cycle=cycle, cell=cell)

@@ -183,6 +183,9 @@ def test_orient_colors_no_flag_graph_when_orientable(name, count_calls):
     s = _complex(name)
     calls = count_calls((flags, "_two_color"), (flags, "flag_graph"), (flags, "flags_of"))
     flags.orient(s)
+    # the predicates take the rules first too
+    assert flags.is_orientable(s) and flags.is_flag_connected(s)
+    assert flags.odd_flag_cycle(s) is None
     assert calls == []
 
 

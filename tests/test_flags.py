@@ -8,6 +8,7 @@ from oracles import (
     component_count,
     sign_from_flag,
     simplicial_boundary_matrices,
+    two_color,
 )
 
 from cellcomplexes import fixtures, flags
@@ -123,9 +124,13 @@ def test_flag_components_of_disjoint_unions(pieces, prefixes):
     simps = [[pre + v for v in f] for pre, piece in zip(prefixes, pieces)
              for f in (_RP2 if piece == "p" else piece)]
     s = from_simplicial(simps)
-    want = component_count(brute_flag_graph(s))
+    graph = brute_flag_graph(s)
+    want = component_count(graph)
+    _, odd, _ = two_color(graph)
     assert flags._component_count(flag_graph(s)) == want
     assert is_flag_connected(s) == (want == 1)
+    assert odd_flag_cycle(s) == odd
+    assert is_orientable(s) == (odd is None and want == 1)
 
 
 @pytest.mark.parametrize("name", ["two_triangles", "torus9", "tetrahedron_solid",

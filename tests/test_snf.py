@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sympy_invariant_factors
+from oracles import looped_smith_normal_form, sympy_invariant_factors
 
 from cellcomplexes import fixtures
 from cellcomplexes.chains import chain_complex
@@ -60,6 +60,31 @@ def test_empty_shapes():
     assert snf.v == snf.v_inv == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and snf.rank == 0
 
 
+@pytest.mark.parametrize("mat, bad", [([[1], [2, 3]], 1), ([[1, 2], [3]], 1),
+                                      ([[1, 2], [3, 4], []], 2)])
+def test_ragged_rows_are_rejected(mat, bad):
+    n = len(mat[0])
+    message = f"row {bad} has {len(mat[bad])} entries, not {n}"
+    for fn in (smith_normal_form, kernel_basis):
+        with pytest.raises(ValueError) as info:
+            fn(mat)
+        assert str(info.value) == message
+    with pytest.raises(ValueError):
+        invariant_factors(mat)
+
+
+_BIG = 2 ** 70
+
+
+@pytest.mark.parametrize("mat", [
+    [], [[], []], np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+    np.zeros((0, 0), dtype=np.int64), [[_BIG, 0], [0, -_BIG]], [[1, _BIG], [_BIG, 1]],
+    [[2 * _BIG, -3 * _BIG, 5], [_BIG, 7, -_BIG]], np.array([[4, 6, 0], [6, 9, 3]]),
+])
+def test_engine_matches_looped_oracle(mat):
+    assert repr(smith_normal_form(mat)) == repr(looped_smith_normal_form(mat))
+
+
 def test_known_dense_case():
     snf = _check_decomposition([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert snf.diagonal == [2, 2, 156]
@@ -108,6 +133,12 @@ _small_matrices = _matrices(st.integers(-9, 9), max_side=5)
 def test_random_matrices_match_sympy(mat):
     snf = _check_decomposition(mat)
     assert sorted(d for d in snf.diagonal if d) == sympy_invariant_factors(mat)
+    # the same pivots and operations as the looped engine, on lists with
+    # entries beyond int64 and on arrays
+    assert repr(snf) == repr(looped_smith_normal_form(mat))
+    assert repr(smith_normal_form(np.array(mat))) == repr(snf)
+    big = [[x << 70 if abs(x) == 9 else x for x in row] for row in mat]
+    assert repr(smith_normal_form(big)) == repr(looped_smith_normal_form(big))
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,3 +214,4 @@ def test_fixture_boundaries_match_dense_engine(name):
                 m = cc.boundary_matrix(r)
                 for mat in (m, m.T):
                     assert invariant_factors(mat) == _dense_factors(mat.tolist())
+                    assert repr(smith_normal_form(mat)) == repr(looped_smith_normal_form(mat))
