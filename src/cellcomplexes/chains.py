@@ -5,11 +5,18 @@ signs of a :class:`~cellcomplexes.flags.SignTable`; the coboundary is the
 transpose.  Homology is computed degree by degree from Smith normal forms
 and reported in invariant-factor form: a free rank (Betti number) plus a
 divisibility chain of torsion coefficients.
+
+Boundary columns come from the index tuples: the table's signs of each
+cell, aligned with its face indices.  Cells are sorted by rank, so the
+row of a face is its index minus the first index of its rank, and
+homology and cohomology touch no label.  The label-keyed boundaries
+(``ChainComplex.images``) are built when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -17,7 +24,7 @@ import numpy as np
 from .cells import EMPTY, CellId
 from .complexes import Ccc
 from .errors import EmptyComplexError, UnknownCellError
-from .flags import SignTable
+from .flags import SignTable, _require_signs
 from .snf import SparseMatrix, invariant_factors, smith_normal_form
 # Unused here; kept because bench/tracing.py patches these names.
 from .snf import kernel_basis, matmul, solve_columns  # noqa: F401
@@ -65,7 +72,9 @@ class ChainComplex:
     coefficient ``s(x, y)``.  ``boundary_matrix(i)`` maps degree ``i`` to
     ``i - 1``; entry ``[y, x]`` is ``s(x, y)``.  With ``augmented=True`` a
     degree ``-1`` group generated by the empty cell is appended and every
-    vertex maps to its generator.
+    vertex maps to its generator.  The signs are copied from the table
+    when the complex is built, one tuple per cell aligned with its face
+    indices; ``images`` and ``index`` are built from them when first read.
     """
 
     def __init__(self, complex: Ccc, signs: SignTable | None, augmented: bool = False):
@@ -76,16 +85,37 @@ class ChainComplex:
         self.augmented = augmented
         self.dim = complex.dim
         self.bases = [list(complex.cells_of_rank(r)) for r in range(self.dim + 1)]
-        self.index = [{c: i for i, c in enumerate(b)} for b in self.bases]
-        self.images = {x: {EMPTY: 1} if augmented and complex.rank(x) == 0
-                       else {y: signs.s(x, y) for y in complex.faces(x)}
-                       for x in complex.cells}
+        self._rows = (list(signs._rows_on(complex)) if signs is not None
+                      else [(0,) * len(fs) for fs in complex._face_ix])
+        _require_signs(complex, self._rows)
+
+    @cached_property
+    def images(self) -> dict:
+        cells = self.complex.cells
+        return {x: {EMPTY: 1} if self.augmented and not r
+                else {cells[y]: v for y, v in zip(fs, row)}
+                for x, r, fs, row in zip(cells, self.complex._ranks,
+                                         self.complex._face_ix, self._rows)}
+
+    @cached_property
+    def index(self) -> list:
+        return [{c: i for i, c in enumerate(b)} for b in self.bases]
 
     def sparse_boundary(self, i: int) -> SparseMatrix:
-        """The boundary from degree ``i`` to ``i - 1``, kept sparse."""
-        rows = [{EMPTY: 0} if self.augmented else {}] + self.index
-        return SparseMatrix(rows[i] if 0 <= i <= self.dim + 1 else {},
-                            self.bases[i] if 0 <= i <= self.dim else [], self.images)
+        """The boundary from degree ``i`` to ``i - 1``, kept sparse, with
+        its columns read off the index tuples."""
+        if not 0 <= i <= self.dim + 1:
+            return SparseMatrix.of_columns(0, [])
+        if i == 0:
+            unit = {0: 1} if self.augmented else {}
+            return SparseMatrix.of_columns(len(unit), [dict(unit) for _ in self.bases[0]])
+        if i > self.dim:
+            return SparseMatrix.of_columns(len(self.bases[i - 1]), [])
+        s = self.complex
+        start = s._rank_range(i - 1).start
+        faces, rows = s._face_ix, self._rows
+        cols = [dict(zip([y - start for y in faces[x]], rows[x])) for x in s._rank_range(i)]
+        return SparseMatrix.of_columns(len(self.bases[i - 1]), cols)
 
     def boundary_matrix(self, i: int) -> np.ndarray:
         return np.asarray(self.sparse_boundary(i))
@@ -198,7 +228,7 @@ def cohomology_of(cc: ChainComplex) -> HomologyResult:
     degree i is the transpose of D_{i+1}, with the same invariant factors.
     The augmentation is ignored."""
     mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
-    mats[0] = SparseMatrix({}, [], {})
+    mats[0] = SparseMatrix.of_columns(0, [])
     return _groups([len(b) for b in cc.bases], mats, 0)
 
 
@@ -225,10 +255,16 @@ def _homology_of_cells(cc: ChainComplex, cells) -> HomologyResult:
     """Homology of the boundary matrices restricted to the rows and
     columns of ``cells``: of the quotient by the other cells when those
     are closed, of the subcomplex on ``cells`` when it is closed."""
-    keep = [sorted((c for c in cells if cc.complex.rank(c) == r), key=cc.index[r].get)
-            for r in range(cc.dim + 1)]
-    rows = [{}] + [{c: j for j, c in enumerate(k)} for k in keep]
-    mats = [SparseMatrix(rows[r], keep[r], cc.images) for r in range(cc.dim + 1)]
+    s = cc.complex
+    keep = [[] for _ in range(cc.dim + 1)]  # per rank, the indices kept, ascending
+    for i in sorted(map(s._i, cells)):
+        keep[s._ranks[i]].append(i)
+    at = {i: n for k in keep for n, i in enumerate(k)}  # index -> its row or column
+    faces, rows = s._face_ix, cc._rows
+    mats = [SparseMatrix.of_columns(0, [{} for _ in keep[0]])]
+    mats += [SparseMatrix.of_columns(len(keep[r - 1]), [
+        {at[y]: v for y, v in zip(faces[x], rows[x]) if y in at} for x in keep[r]])
+        for r in range(1, cc.dim + 1)]
     return _groups([len(k) for k in keep], mats, 1)
 
 

@@ -173,7 +173,13 @@ class Ccc:
             raise UnknownCellError(f"cell {x} is not in the complex") from None
 
     def cells_of_rank(self, r: int) -> tuple:
-        return tuple(self._cells[i] for i in _bits(self._rank_masks.get(r, 0)))
+        span = self._rank_range(r)
+        return self._cells[span.start:span.stop]
+
+    def _rank_range(self, r: int) -> range:
+        """The indices of the cells of rank ``r``: cells are sorted by rank,
+        so they form one range."""
+        return range(bisect_left(self._ranks, r), bisect_right(self._ranks, r))
 
     def leq(self, y: CellId, x: CellId) -> bool:
         return bool(self._below[self._i(x)] >> self._i(y) & 1)

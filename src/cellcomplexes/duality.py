@@ -30,7 +30,7 @@ from .chains import (
     homology_of,
 )
 from .complexes import Ccc
-from .errors import CccError, NotManifoldLikeError, NotOrientableError
+from .errors import CccError, MissingSignError, NotManifoldLikeError, NotOrientableError
 from .flags import (
     Orientation,
     SignTable,
@@ -41,6 +41,7 @@ from .flags import (
     _derive_signs,
     _diamond_signs,
     _down,
+    _require_signs,
     orient,
 )
 # Unused here; kept because bench/tracing.py patches these names.
@@ -70,23 +71,41 @@ class DualOrientationSet:
         give it opposite signs, the rule for a dual edge and its two dual
         vertices.
         """
-        s, signs = self.complex, self.signs.signs
-        for x in s.maximal_cells():
+        s, sd = self.complex, self.dual_complex
+        cells, faces = s.cells, s._face_ix
+        rows = self.signs._rows_on(s)
+        _require_signs(s, rows)
+        for x in map(s._index.__getitem__, s.maximal_cells()):
             meet = {}  # z -> s(x, y) s(y, z) for the faces y of x above z
-            for y in s.faces(x):
-                for z, v in _down(s, signs, y):
-                    meet.setdefault(z, []).append(signs[(x, y)] * v)
+            for y, v in zip(faces[x], rows[x]):
+                for z, w in _down(s, rows, y):
+                    meet.setdefault(z, []).append(v * w)
             if any(sum(vs) for vs in meet.values()):
-                raise CccError(f"the signs of {x} break the diamond rule")
-        for y in s.cells_of_rank(s.dim - 1):
-            above = s.cofaces(y)
-            if len(above) == 2 and signs[(above[0], y)] == signs[(above[1], y)]:
-                raise CccError(f"{above[0]} and {above[1]} give {y} the same sign")
+                raise CccError(f"the signs of {cells[x]} break the diamond rule")
+        above = {}  # y -> the cells x of top rank over it, with s(x, y)
+        for x in s._rank_range(s.dim):
+            for y, v in zip(faces[x], rows[x]):
+                above.setdefault(y, []).append((x, v))
+        for y in s._rank_range(s.dim - 1):
+            over = above.get(y, ())
+            if len(over) == 2 and over[0][1] == over[1][1]:
+                (a, _), (b, _) = over
+                raise CccError(f"{cells[a]} and {cells[b]} give {cells[y]} the same sign")
+        # s*(y, x) = s(x, y), reading the dual's cells at their own indices
+        to_dual = [sd._index[c] for c in cells]
+        dual_rows, dual_faces = self.dual_signs._rows_on(sd), sd._face_ix
         checked = 0
-        for (x, y), v in signs.items():
-            if self.dual_signs.s(y, x) != v:
-                raise CccError(f"dual sign law fails on the pair ({x}, {y})")
-            checked += 1
+        for x, (fs, row) in enumerate(zip(faces, rows)):
+            xd = to_dual[x]
+            for y, v in zip(fs, row):
+                yd = to_dual[y]
+                dfs = dual_faces[yd]
+                w = dual_rows[yd][dfs.index(xd)] if xd in dfs else 0
+                if not w:
+                    raise MissingSignError(f"no sign for the pair ({cells[y]}, {cells[x]})")
+                if w != v:
+                    raise CccError(f"dual sign law fails on the pair ({cells[x]}, {cells[y]})")
+                checked += 1
         return checked
 
 
@@ -111,13 +130,18 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
     sd = s.dual()
 
     maximal = s.maximal_cells()
-    is_maximal = set(maximal)
-    signs = _canonical_signs(s, [x for x in s.cells if x not in is_maximal])
-    signs.update(_derive_signs(s, dict.fromkeys(maximal, omega)))
+    top = dict.fromkeys(map(s._index.__getitem__, maximal), omega)
+    rows = _canonical_signs(s, [i for i in range(len(s)) if i not in top])
+    for x, row in _derive_signs(s, top).items():
+        rows[x] = row
     vertex_signs = {x: omega.sign((x,)) for x in maximal if s.rank(x) == 0}
-    dual_signs = SignTable(sd, {(y, x): v for (x, y), v in signs.items()})
+    # the sign law: the faces of a dual cell are its cofaces in s
+    faces, to_primal = s._face_ix, [s._index[c] for c in sd.cells]
+    dual_rows = [tuple(rows[x][faces[x].index(y)] for x in map(to_primal.__getitem__, fs))
+                 for y, fs in zip(to_primal, sd._face_ix)]
 
-    out = DualOrientationSet(s, sd, omega, SignTable(s, signs, vertex_signs), dual_signs)
+    out = DualOrientationSet(s, sd, omega, SignTable._of(s, rows, vertex_signs),
+                             SignTable._of(sd, dual_rows))
     out.check_sign_law()
     return out
 
@@ -225,7 +249,7 @@ def verify_duality(s: Ccc) -> DualityReport:
     # orient_all_cells has already raised for any other closure of S that
     # is not flag-connected; the maximal cells took the global colouring
     for name, cx, cells in (("complex", s, s.maximal_cells()), ("dual", sd, sd.cells)):
-        if _diamond_signs(cx, cx.cells)[1] is None:
+        if _diamond_signs(cx, range(len(cx)))[1] is None:
             cells = ()  # the rule signs every cell: every closure is flag-connected
         bad = next((x for x in cells
                     if _component_count(_closure_flag_graph(cx, x)) != 1), None)

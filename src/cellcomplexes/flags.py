@@ -45,17 +45,24 @@ neighbours off the face indices that ``Ccc`` keeps when the flag is
 reached: in a diamond-shaped poset the flags that differ at position i
 are fixed by the cells at i - 1 and i + 1.  It stops at the first
 conflict, so the certificate is the definition's.
+
+Signs live by cell index: a :class:`SignTable` keeps one tuple per cell,
+aligned with that cell's face indices (``Ccc._face_ix``), and the two
+rules walk those indices, so they hash no label.  Labels appear at the
+edges only: ``SignTable.signs`` is a mutable view keyed by ``(x, y)``
+label pairs, built when it is read, and ``s``, ``color`` and the
+orientations look cells up by label.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .cells import EMPTY, CellId
+from .cells import CellId
 from .complexes import Ccc, simplex_vertices
 from .errors import (
     CccError,
@@ -103,12 +110,16 @@ def _require_faces(s: Ccc, tops):
 def flags_of(s: Ccc, x: CellId) -> list:
     """All flags below ``x`` in lexicographic order, each of length
     ``rank(x) + 1``."""
-    i = s._i(x)
+    return [tuple(map(s.cells.__getitem__, f)) for f in _index_flags(s, s._i(x))]
+
+
+def _index_flags(s: Ccc, i: int) -> list:
+    """The flags below the cell at index ``i``, as cell indices, in order."""
     n = s._ranks[i] + 1
     out = list(_walk((i,), s._face_ix.__getitem__, n))
     if sum(map(len, out)) != n * len(out):  # a chain ends above rank 0
         _require_faces(s, (i,))  # raises, naming a cell without faces
-    return [tuple(map(s.cells.__getitem__, f)) for f in out]
+    return out
 
 
 def _equidimensional(s: Ccc) -> bool:
@@ -333,11 +344,12 @@ def _rule_orientation(s: Ccc):
     """The orientation the diamond and top-cell rules give, or None where
     either fails.  Where it is given, the flag graph is connected and
     bipartite, so no predicate on it needs to list flags."""
-    signs, bad = _diamond_signs(s, s.cells)
+    rows, bad = _diamond_signs(s, range(len(s)))
     if bad is None and _equidimensional(s):
-        eps = _link_signs({x: _down(s, signs, x) for x in s.cells_of_rank(s.dim)})
+        eps = _link_signs({x: _down(s, rows, x) for x in s._rank_range(s.dim)})
         if eps is not None:
-            return Orientation(_FlagColors(SignTable(s, signs), eps))
+            tops = {s.cells[x]: e for x, e in eps.items()}
+            return Orientation(_FlagColors(SignTable._of(s, rows), tops))
     return None
 
 
@@ -347,23 +359,67 @@ def orient_cell(s: Ccc, x: CellId) -> Orientation:
 
 class SignTable:
     """Incidence signs plus one sign per vertex (default +1); orientations
-    are derived from them."""
+    are derived from them.
 
-    __slots__ = ("complex", "signs", "vertex_signs", "_flag_counts")
+    The signs live in one tuple per cell, aligned with the cell's face
+    indices (``complex._face_ix``), with 0 where the table has no sign.
+    ``signs`` is a mutable view of them keyed by ``(x, y)`` label pairs,
+    built when it is read and iterated in canonical order (by cell, then
+    by face); a write through it changes the table.  ``vertex_signs`` is a
+    dict keyed by label.  A sign other than +1 or -1, or a pair that is
+    not an incidence of the complex, raises ValueError naming the pair;
+    a missing pair raises MissingSignError where a sign is read.
+    """
+
+    __slots__ = ("complex", "_rows", "vertex_signs", "_flag_counts")
 
     def __init__(self, complex: Ccc, signs: Mapping,
                  vertex_signs: Mapping | None = None):
+        rows = [[0] * len(fs) for fs in complex._face_ix]
+        for pair, v in signs.items():
+            i, k = _locate(complex, pair)
+            rows[i][k] = _unit(pair, v)
+        self._fill(complex, list(map(tuple, rows)), vertex_signs)
+
+    @classmethod
+    def _of(cls, complex: Ccc, rows: list, vertex_signs: Mapping | None = None):
+        """The table of ``rows``, one tuple of signs per cell aligned with
+        its face indices, taken as they are."""
+        table = cls.__new__(cls)
+        table._fill(complex, rows, vertex_signs)
+        return table
+
+    def _fill(self, complex, rows, vertex_signs):
         self.complex = complex
-        self.signs = dict(signs)
-        given = vertex_signs or {}
-        self.vertex_signs = {v: given.get(v, 1) for v in complex.cells_of_rank(0)}
+        self._rows = rows
+        vertices = complex.cells_of_rank(0)
+        self.vertex_signs = ({v: vertex_signs.get(v, 1) for v in vertices} if vertex_signs
+                             else dict.fromkeys(vertices, 1))
         self._flag_counts = None
 
+    @property
+    def signs(self) -> MutableMapping:
+        """``(x, y) -> s(x, y)`` over the pairs that have a sign."""
+        return _Signs(self)
+
+    def _sign(self, x: CellId, y: CellId) -> int:
+        """``s(x, y)``, or 0 where the table has no sign for the pair."""
+        at = _position(self.complex, x, y)
+        return self._rows[at[0]][at[1]] if at else 0
+
     def s(self, x: CellId, y: CellId) -> int:
-        try:
-            return self.signs[(x, y)]
-        except KeyError:
-            raise MissingSignError(f"no sign for the pair ({x}, {y})") from None
+        v = self._sign(x, y)
+        if not v:
+            raise MissingSignError(f"no sign for the pair ({x}, {y})")
+        return v
+
+    def _rows_on(self, s: Ccc) -> list:
+        """The signs of the faces of every cell of ``s``, aligned with
+        ``s._face_ix``; 0 where the table has none.  The table's own rows
+        when ``s`` is its complex."""
+        if s is self.complex:
+            return self._rows
+        return [tuple(self._sign(x, y) for y in fs) for x, fs in zip(s.cells, s._faces)]
 
     def color(self, flag: Flag) -> int:
         """The signs along the flag times the sign of its vertex."""
@@ -379,12 +435,13 @@ class SignTable:
     def _flag_count(self, x: CellId) -> int:
         """The number of flags below ``x``: the sum over its faces, 1 for a
         vertex.  Counted for every cell on first use."""
+        s = self.complex
         if self._flag_counts is None:
-            s, counts = self.complex, {}
-            for c in s.cells:  # canonical order lists faces first
-                counts[c] = sum(counts[y] for y in s.faces(c)) if s.rank(c) else 1
+            counts = []
+            for fs, r in zip(s._face_ix, s._ranks):  # faces come first
+                counts.append(sum(map(counts.__getitem__, fs)) if r else 1)
             self._flag_counts = counts
-        return self._flag_counts[x]
+        return self._flag_counts[s._index[x]]
 
     @property
     def orientations(self) -> Mapping:
@@ -393,16 +450,117 @@ class SignTable:
 
     def flipped(self, cells: Iterable[CellId]) -> "SignTable":
         """Reverse the orientation of the given cells; signs follow suit."""
-        flip = set(cells)
-        t = lambda c: -1 if c in flip else 1
-        signs = {(x, y): v * t(x) * t(y) for (x, y), v in self.signs.items()}
-        vertex_signs = {v: e * t(v) for v, e in self.vertex_signs.items()}
-        return SignTable(self.complex, signs, vertex_signs)
+        s = self.complex
+        t = [1] * len(s)
+        for c in cells:
+            i = s._index.get(c)
+            if i is not None:
+                t[i] = -1
+        rows = [tuple(v * e * t[j] for j, v in zip(fs, row))
+                for e, fs, row in zip(t, s._face_ix, self._rows)]
+        vertex_signs = {v: e * t[s._index[v]] for v, e in self.vertex_signs.items()}
+        return SignTable._of(s, rows, vertex_signs)
 
     def restrict(self, sub: Ccc) -> "SignTable":
         """The table induced on a closed subcomplex."""
-        signs = {(x, y): self.s(x, y) for x in sub.cells for y in sub.faces(x)}
-        return SignTable(sub, signs, self.vertex_signs)
+        rows = list(self._rows_on(sub))
+        _require_signs(sub, rows)
+        return SignTable._of(sub, rows, self.vertex_signs)
+
+
+def _position(s: Ccc, x, y):
+    """``(i, k)`` when ``x`` is the cell at index ``i`` of ``s`` and ``y``
+    its k-th face, else None."""
+    i, j = s._index.get(x), s._index.get(y)
+    if i is None or j is None or j not in s._face_ix[i]:
+        return None
+    return i, s._face_ix[i].index(j)
+
+
+def _locate(s: Ccc, pair) -> tuple:
+    """:func:`_position` of ``pair``; ValueError when it is not an
+    incidence pair of ``s``."""
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"{pair!r} is not a pair of cells") from None
+    at = _position(s, x, y)
+    if at is None:
+        raise ValueError(f"({x}, {y}) is not an incidence pair of the complex")
+    return at
+
+
+def _unit(pair, v) -> int:
+    if v != 1 and v != -1:
+        x, y = pair
+        raise ValueError(f"the sign of ({x}, {y}) is {v!r}, not +1 or -1")
+    return int(v)
+
+
+def _require_signs(s: Ccc, rows: list, cells=None):
+    """Raises MissingSignError for the first incidence pair of ``s``
+    without a sign in ``rows``, among the faces of the cells at the
+    indices ``cells`` (default: every cell)."""
+    for i in range(len(rows)) if cells is None else cells:
+        row = rows[i]
+        if 0 in row:
+            y = s.cells[s._face_ix[i][row.index(0)]]
+            raise MissingSignError(f"no sign for the pair ({s.cells[i]}, {y})")
+
+
+class _Signs(MutableMapping):
+    """A table's signs keyed by ``(x, y)`` label pairs, in canonical order:
+    by cell, then by face.  Reads and writes go to the table's rows."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: SignTable):
+        self._table = table
+
+    def _find(self, pair) -> tuple:
+        try:
+            i, k = _locate(self._table.complex, pair)
+        except ValueError:
+            raise KeyError(pair) from None
+        if not self._table._rows[i][k]:
+            raise KeyError(pair)
+        return i, k
+
+    def __getitem__(self, pair) -> int:
+        i, k = self._find(pair)
+        return self._table._rows[i][k]
+
+    def _put(self, i: int, k: int, v: int):
+        rows = self._table._rows
+        rows[i] = rows[i][:k] + (v,) + rows[i][k + 1:]
+
+    def __setitem__(self, pair, v):
+        self._put(*_locate(self._table.complex, pair), _unit(pair, v))
+
+    def __delitem__(self, pair):
+        self._put(*self._find(pair), 0)
+
+    def _items(self):
+        s = self._table.complex
+        cells = s.cells
+        for x, fs, row in zip(cells, s._face_ix, self._table._rows):
+            for y, v in zip(fs, row):
+                if v:
+                    yield (x, cells[y]), v
+
+    def __iter__(self):
+        return (pair for pair, _ in self._items())
+
+    def __len__(self):
+        return sum(len(row) - row.count(0) for row in self._table._rows)
+
+    def items(self):
+        return _SignItems(self)
+
+
+class _SignItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
 
 
 class _FlagColors(Mapping):
@@ -448,38 +606,46 @@ class _Orientations(Mapping):
         return len(self._table.complex)
 
 
-def _least_flag(s: Ccc, x: CellId) -> Flag:
-    """The least flag below ``x``: every step takes the least face."""
-    flag = (x,)
-    while s.rank(flag[-1]):
-        flag += (s.faces(flag[-1])[0],)
+def _least_flag(s: Ccc, i: int) -> tuple:
+    """The least flag below the cell at index ``i``, as cell indices:
+    every step takes the least face."""
+    flag = (i,)
+    while s._ranks[flag[-1]]:
+        flag += (s._face_ix[flag[-1]][0],)
     return flag
 
 
 def _derive_signs(s: Ccc, orientations: Mapping) -> dict:
-    """The signs of the faces of each oriented cell, read at the flag that
-    continues with the face's least flag, which its canonical
-    orientation colors +1."""
-    return {(x, y): o.sign((x,) + _least_flag(s, y))
-            for x, o in orientations.items() for y in s.faces(x)}
+    """The signs of the faces of each oriented cell (cell index -> its
+    orientation), one tuple per cell aligned with its face indices.  Each
+    is read at the flag that continues with the face's least flag, which
+    its canonical orientation colors +1."""
+    cells, faces = s.cells, s._face_ix
+    least = {}  # face index -> its least flag, in labels
+    for x in orientations:
+        for y in faces[x]:
+            if y not in least:
+                least[y] = tuple(map(cells.__getitem__, _least_flag(s, y)))
+    return {x: tuple(o.sign((cells[x],) + least[y]) for y in faces[x])
+            for x, o in orientations.items()}
 
 
-# a vertex lies over the empty cell, with its vertex sign +1
-_OVER_EMPTY = ((EMPTY, 1),)
+# a vertex lies over the empty cell, index -1, with its vertex sign +1
+_OVER_EMPTY = ((-1, 1),)
 
 
-def _down(s: Ccc, signs: Mapping, x: CellId) -> tuple:
-    """The faces of ``x``, each with its sign."""
-    if not s.rank(x):
+def _down(s: Ccc, rows: list, x: int) -> tuple:
+    """The faces of the cell at index ``x``, each with its sign in ``rows``."""
+    if not s._ranks[x]:
         return _OVER_EMPTY
-    return tuple((y, signs[(x, y)]) for y in s.faces(x))
+    return tuple(zip(s._face_ix[x], rows[x]))
 
 
 def _link_signs(down: Mapping):
     """Signs ``e`` on the cells ``down`` lists (cell -> its faces with
     their signs), +1 on the first, such that ``e(a) s(a, z) = -e(b) s(b, z)``
     whenever ``a`` and ``b`` share a face ``z``.  None when the links
-    conflict or do not reach every cell."""
+    conflict or do not reach every cell.  Cells and faces are indices."""
     above: dict = {}
     for a, zs in down.items():
         for z, v in zs:
@@ -491,44 +657,49 @@ def _link_signs(down: Mapping):
     todo = [root]
     while todo:
         a = todo.pop()
+        ea = e[a]
         for z, v in down[a]:
-            want = -e[a] * v
+            want = -ea * v
             for b, w in above[z]:
-                if b is a:
+                if b == a:
                     continue
-                if b not in e:
+                eb = e.get(b)
+                if eb is None:
                     e[b] = want * w
                     todo.append(b)
-                elif e[b] != want * w:
+                elif eb != want * w:
                     return None
     return e if len(e) == len(down) else None
 
 
 def _diamond_signs(s: Ccc, cells) -> tuple:
-    """The canonical signs of the faces of ``cells`` (closed under taking
-    faces, in canonical order) by the diamond rule, and the first cell at
-    which it fails (None if there is none; the signs then stop there)."""
-    signs: dict = {}
-    down: dict = {}  # signed cell -> its faces with their signs
+    """The canonical signs of the faces of the cells at the indices
+    ``cells`` (closed under taking faces, ascending) by the diamond rule,
+    one tuple per cell aligned with its face indices (zeros for a cell not
+    signed), and the index of the first cell at which it fails (None if
+    there is none; the signs then stop there)."""
+    faces, ranks = s._face_ix, s._ranks
+    rows = [(0,) * len(fs) for fs in faces]
+    down = [None] * len(faces)  # signed cell -> its faces with their signs
     for x in cells:
-        if s.rank(x):
-            e = _link_signs({y: down[y] for y in s.faces(x)})
+        if ranks[x]:
+            e = _link_signs({y: down[y] for y in faces[x]})
             if e is None:
-                return signs, x
-            for y in s.faces(x):
-                signs[(x, y)] = e[y]
-        down[x] = _down(s, signs, x)
-    return signs, None
+                return rows, x
+            rows[x] = tuple(map(e.__getitem__, faces[x]))
+        down[x] = _down(s, rows, x)
+    return rows, None
 
 
-def _canonical_signs(s: Ccc, cells) -> dict:
-    """The canonical signs of the faces of ``cells``.  Where the diamond
-    rule fails, the closure of the cell it stops at is not orientable or
-    not flag-connected, and 2-coloring it raises with the certificate."""
-    signs, bad = _diamond_signs(s, cells)
+def _canonical_signs(s: Ccc, cells) -> list:
+    """The canonical signs of the faces of the cells at the indices
+    ``cells``, as rows.  Where the diamond rule fails, the closure of the
+    cell it stops at is not orientable or not flag-connected, and
+    2-coloring it raises with the certificate."""
+    rows, bad = _diamond_signs(s, cells)
     if bad is not None:
-        orient_cell(s, bad)  # raises
-    return signs
+        orient_cell(s, s.cells[bad])  # raises
+    return rows
 
 
 def orient_all_cells(s: Ccc) -> SignTable:
@@ -538,27 +709,28 @@ def orient_all_cells(s: Ccc) -> SignTable:
     with the witness cell if some closure is not orientable or not
     flag-connected.  Only the signs and the vertex colors are kept.
     """
-    return SignTable(s, _canonical_signs(s, s.cells))
+    return SignTable._of(s, _canonical_signs(s, range(len(s))))
 
 
 # -- simplicial orientations ---------------------------------------------
 
 
-def permutation_orientation(s: Ccc, x: CellId, members_desc: Callable) -> dict:
-    """Face signs ``{(x, y): ±1}`` of a simplex-like cell by the removal rule.
+def permutation_orientation(s: Ccc, x: int, members_desc: Callable) -> tuple:
+    """Face signs of a simplex-like cell by the removal rule, one per face
+    of the cell at index ``x``, aligned with its face indices.
 
-    ``members_desc(cell)`` lists the cell's defining elements, largest
-    first, and each face of ``x`` drops exactly one of them.  Dropping the
-    i-th largest carries sign (-1)^i.  These are the signs of the
-    orientation that colors a flag by the sign of the permutation of
-    positions it removes one step at a time.
+    ``members_desc(i)`` lists the defining elements of the cell at index
+    ``i``, largest first, and each face of ``x`` drops exactly one of
+    them.  Dropping the i-th largest carries sign (-1)^i.  These are the
+    signs of the orientation that colors a flag by the sign of the
+    permutation of positions it removes one step at a time.
     """
     pos = {m: i for i, m in enumerate(members_desc(x))}
-    signs = {}
-    for y in s.faces(x):
-        (dropped,) = set(pos) - set(members_desc(y))
-        signs[(x, y)] = -1 if pos[dropped] % 2 else 1
-    return signs
+    signs = []
+    for y in s._face_ix[x]:
+        (dropped,) = pos.keys() - members_desc(y)
+        signs.append(-1 if pos[dropped] % 2 else 1)
+    return tuple(signs)
 
 
 def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignTable:
@@ -569,24 +741,22 @@ def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignT
     simplex alternate signs starting with +1 at the face that drops the
     largest vertex.
     """
-    verts = {}
-    for c in k.cells:
+    verts = []  # by cell index
+    for c, r in zip(k.cells, k._ranks):
         vs = simplex_vertices(c)
-        if len(vs) != k.rank(c) + 1 or len(set(vs)) != len(vs):
-            raise SimplicialStructureError(f"cell {c} is not a rank-{k.rank(c)} simplex")
-        verts[c] = set(vs)
-    for x in k.cells:
-        for y in k.faces(x):
+        if len(vs) != r + 1 or len(set(vs)) != len(vs):
+            raise SimplicialStructureError(f"cell {c} is not a rank-{r} simplex")
+        verts.append(set(vs))
+    for x, fs in enumerate(k._face_ix):
+        for y in fs:
             if not verts[y] < verts[x]:
                 raise SimplicialStructureError(
-                    f"face {y} of {x} is not a vertex subset")
+                    f"face {k.cells[y]} of {k.cells[x]} is not a vertex subset")
     if vertex_order is None:
         key = lambda v: v
     else:
         rank = {str(v): i for i, v in enumerate(vertex_order)}
         key = lambda v: rank[v]
-    members = lambda c: sorted(verts[c], key=key, reverse=True)
-    signs = {}
-    for x in k.cells:
-        signs.update(permutation_orientation(k, x, members))
-    return SignTable(k, signs)
+    members = [sorted(vs, key=key, reverse=True) for vs in verts]
+    return SignTable._of(k, [permutation_orientation(k, x, members.__getitem__)
+                             for x in range(len(k))])

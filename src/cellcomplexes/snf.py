@@ -156,19 +156,31 @@ def smith_normal_form(matrix) -> SmithNormalForm:
 
 
 class SparseMatrix:
-    """Integer matrix kept as columns: column ``j`` is ``images[columns[j]]``,
-    a mapping from row keys to nonzero entries, and ``rows`` numbers the row
-    keys.  Entries at keys outside ``rows`` are left out, which restricts
-    the matrix to those rows."""
+    """Integer matrix kept as columns, each a dict from row number to
+    nonzero entry.
+
+    ``SparseMatrix(rows, columns, images)`` takes column ``j`` from
+    ``images[columns[j]]``, a mapping from row keys to nonzero entries,
+    with ``rows`` numbering the row keys.  Entries at keys outside
+    ``rows`` are left out, which restricts the matrix to those rows.
+    :meth:`of_columns` takes the columns as they are.
+    """
 
     def __init__(self, rows, columns, images):
-        self.rows, self.columns, self.images = rows, columns, images
         self.shape = (len(rows), len(columns))
+        self._columns = [{rows[y]: v for y, v in images[x].items() if y in rows}
+                         for x in columns]
+
+    @classmethod
+    def of_columns(cls, n_rows: int, columns: list) -> "SparseMatrix":
+        m = cls.__new__(cls)
+        m.shape, m._columns = (n_rows, len(columns)), columns
+        return m
 
     def column_entries(self) -> list:
-        """Each column as a dict from row number to entry."""
-        return [{self.rows[y]: v for y, v in self.images[x].items() if y in self.rows}
-                for x in self.columns]
+        """Each column as a dict from row number to entry; the matrix's
+        own, not to be changed."""
+        return self._columns
 
     def __array__(self, dtype=None, copy=None):
         """The dense int64 array; the one place a dense matrix is written."""
@@ -189,7 +201,9 @@ def invariant_factors(matrix) -> list:
     factor 1.  The pivot is a ±1 entry of the shortest live row, taken from
     the shortest column among that row's units, which keeps fill-in low on
     sparse boundary matrices.  Rows left without a unit entry form the
-    remainder, whose factors come from :func:`smith_normal_form`.
+    remainder, whose factors come from :func:`smith_normal_form`; when no
+    row is left, it is not called.  The columns of a
+    :class:`SparseMatrix` are copied, not changed.
     """
     if isinstance(matrix, SparseMatrix):
         lines = matrix.column_entries()
@@ -197,7 +211,7 @@ def invariant_factors(matrix) -> list:
         a = np.asarray(matrix)
         lines = [{i: int(v) for i, v in enumerate(col) if v}
                  for col in (a.T.tolist() if a.size else [])]
-    rows = {i: r for i, r in enumerate(lines) if r}  # row -> {column: nonzero entry}
+    rows = {i: dict(r) for i, r in enumerate(lines) if r}  # row -> {column: nonzero entry}
     col_rows = defaultdict(set)  # column -> rows with a nonzero there
     for i, r in rows.items():
         for j in r:
@@ -236,6 +250,8 @@ def invariant_factors(matrix) -> list:
             else:
                 del rows[k]
         units += 1
+    if not rows:
+        return [1] * units
     keep_cols = sorted({j for r in rows.values() for j in r})
     rest = [[r.get(j, 0) for j in keep_cols] for _, r in sorted(rows.items())]
     return [1] * units + [d for d in smith_normal_form(rest).diagonal if d]

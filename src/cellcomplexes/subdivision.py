@@ -20,6 +20,7 @@ chain carries sign (-1)^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -28,10 +29,10 @@ from .cells import CellId, EMPTY
 from .chains import Chain, ChainComplex, HomologyResult, _push, chain_complex, homology_of
 from .complexes import Ccc, _bits
 from .errors import CccError, UnknownCellError
-from .flags import SignTable, flags_of
+from .flags import SignTable, _index_flags, _require_signs
 from .snf import SparseMatrix
 # Unused here; kept because bench/tracing.py patches these names.
-from .flags import _derive_signs, permutation_orientation  # noqa: F401
+from .flags import _derive_signs, flags_of, permutation_orientation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ def _subdivide(s: Ccc, points, signs: SignTable):
                 raise CccError(f"cone label {c} collides with an existing cell")
         cones[x] = cone
 
-    old = [z for z in s.cells if z not in above]
-    ranks = {z: s.rank(z) for z in old}
-    below = {z: s.covers(z) for z in old}
-    table = {(z, w): signs.s(z, w) for z in old for w in s.faces(z)}
+    cells, faces = s.cells, s._face_ix
+    old = [i for i, z in enumerate(cells) if z not in above]
+    ranks = {cells[i]: s._ranks[i] for i in old}
+    below = {cells[i]: s.covers(cells[i]) for i in old}
     for cone in cones.values():
         ranks[cone[EMPTY]] = 0
         below[cone[EMPTY]] = ()
@@ -120,13 +121,30 @@ def _subdivide(s: Ccc, points, signs: SignTable):
                 continue
             ranks[c] = s.rank(y) + 1
             below[c] = [y, cone[EMPTY]] + [cone[z] for z in below[y]]
-            table[(c, y)] = 1
-            for z in s.faces(y):
-                table[(c, cone[z])] = -signs.s(y, z)
-            if s.rank(y) == 0:
-                table[(c, cone[EMPTY])] = -signs.vertex_signs[y]
     out = Ccc(ranks, below)
-    return out, SignTable(out, table, signs.vertex_signs), cones, above
+
+    # old cells keep their faces and signs; each cone takes the cone rule
+    at, rows = out._index, [()] * len(out)
+    given = signs._rows_on(s)
+    _require_signs(s, given, old)
+    for i in old:
+        rows[at[cells[i]]] = given[i]
+    for cone in cones.values():
+        apex = at[cone[EMPTY]]
+        for y, c in cone.items():
+            if y is EMPTY:
+                continue
+            iy = s._i(y)
+            sign = {at[y]: 1}
+            if s._ranks[iy]:
+                _require_signs(s, given, (iy,))
+                for z, v in zip(faces[iy], given[iy]):
+                    sign[at[cone[cells[z]]]] = -v
+            else:
+                sign[apex] = -signs.vertex_signs[y]
+            ic = at[c]
+            rows[ic] = tuple(sign.get(j, 0) for j in out._face_ix[ic])
+    return out, SignTable._of(out, rows, signs.vertex_signs), cones, above
 
 
 def stellar(s: Ccc, x: CellId, signs: SignTable):
@@ -173,8 +191,11 @@ def _stellar_map(src: ChainComplex, points) -> ChainMap:
     out, new_signs, cones, above = _subdivide(s, points, signs)
     tgt = chain_complex(out, new_signs)
     images = {w: {w: 1} for w in s.cells if w not in above}
+    cells, faces, rows = s.cells, s._face_ix, src._rows
     for w, x in above.items():
-        images[w] = {cones[x][y]: signs.s(w, y) for y in s.faces(w) if y not in above}
+        i = s._index[w]
+        images[w] = {cones[x][cells[y]]: v for y, v in zip(faces[i], rows[i])
+                     if cells[y] not in above}
     return ChainMap(src, tgt, images)
 
 
@@ -231,6 +252,35 @@ def _chains(s: Ccc) -> list:
     return out
 
 
+def _label_chain(s: Ccc, label: dict, ch: tuple) -> CellId:
+    """The label :func:`barycentric` gives ``ch``, an ascending chain of
+    cell indices of ``s``.  It is stored in ``label`` (chain -> its cell,
+    with ``() -> EMPTY``), and so is any label it is built from that
+    ``label`` lacks."""
+    cells, ranks = s.cells, s._ranks
+    if ranks[ch[0]] == 0:
+        if ch[1:]:
+            base = ch[:1] + ch[2:]
+            c = CellId.cone(cells[ch[1]], label[base] if base in label
+                            else _label_chain(s, label, base))
+        else:
+            c = cells[ch[0]]
+    elif ch[1:] and ranks[ch[1]] == 0:  # a vertex above a cell of positive rank
+        c = cell_of_chain(s, tuple(cells[i] for i in ch))
+    else:
+        base = ch[1:]
+        c = CellId.cone(cells[ch[0]], label[base] if base in label
+                        else _label_chain(s, label, base))
+    label[ch] = c
+    return c
+
+
+@cache
+def _removal_signs(n: int) -> tuple:
+    """The sign (-1)^(n - 1 - k) of dropping the k-th of n members."""
+    return tuple(-1 if (n - 1 - k) % 2 else 1 for k in range(n))
+
+
 def barycentric(s: Ccc):
     """The complex of non-empty chains, with alternating-sign orientations.
 
@@ -241,40 +291,48 @@ def barycentric(s: Ccc):
     without its second member when the chain starts at a vertex, without
     its first member otherwise.
     """
-    cells, ranks_s = s.cells, s._ranks
     label = {(): EMPTY}  # chain -> its cell
-    ranks, below, signs = {}, {}, {}
+    ranks, below = {}, {}
     for ch in _chains(s):  # the faces of a chain come before it
-        if ranks_s[ch[0]] == 0:
-            c = CellId.cone(cells[ch[1]], label[ch[:1] + ch[2:]]) if ch[1:] else cells[ch[0]]
-        elif ch[1:] and ranks_s[ch[1]] == 0:  # a vertex above a cell of positive rank
-            c = cell_of_chain(s, tuple(cells[i] for i in ch))
-        else:
-            c = CellId.cone(cells[ch[0]], label[ch[1:]])
-        label[ch] = c
+        c = _label_chain(s, label, ch)
         r = ranks[c] = len(ch) - 1
         if r:
-            faces = below[c] = []
-            for k in range(r + 1):
-                f = label[ch[:k] + ch[k + 1:]]
-                faces.append(f)
-                signs[(c, f)] = -1 if (r - k) % 2 else 1
+            below[c] = [label[ch[:k] + ch[k + 1:]] for k in range(r + 1)]
     if len(ranks) != len(label) - 1:
         raise CccError("chain labels collide; complex already uses them")
     out = Ccc(ranks, below)
-    return out, SignTable(out, signs)
+    at, rows = out._index, [()] * len(out)
+    for c, faces in below.items():  # the k-th face drops the k-th member
+        i = at[c]
+        sign = dict(zip(map(at.__getitem__, faces), _removal_signs(len(faces))))
+        rows[i] = tuple(map(sign.__getitem__, out._face_ix[i]))
+    return out, SignTable._of(out, rows)
 
 
 def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
     """Chain map into the barycentric subdivision: a cell goes to the
-    signed sum of its flags, weighted by its chosen orientation."""
+    signed sum of its flags, weighted by its chosen orientation.
+
+    Flags are walked as cell indices; a flag's color is the product of
+    the signs along it times its vertex's sign, and its cell is labelled
+    by :func:`_label_chain`, as in :func:`barycentric`."""
     if target is None:
         target = barycentric(s)
     bcc, bsigns = target
     src = chain_complex(s, signs)
     tgt = chain_complex(bcc, bsigns)
-    images = {x: {cell_of_chain(s, tuple(reversed(flag))): signs.color(flag)
-                  for flag in flags_of(s, x)} for x in s.cells}
+    cells = s.cells
+    sign = [dict(zip(fs, row)) for fs, row in zip(s._face_ix, src._rows)]
+    vertex = {i: signs.vertex_signs[cells[i]] for i in s._rank_range(0)}
+    label = {(): EMPTY}  # chain -> its cell
+    images = {}
+    for i, x in enumerate(cells):
+        img = images[x] = {}
+        for flag in _index_flags(s, i):
+            color = vertex[flag[-1]]
+            for a, b in zip(flag, flag[1:]):
+                color *= sign[a][b]
+            img[_label_chain(s, label, flag[::-1])] = color
     return ChainMap(src, tgt, images)
 
 

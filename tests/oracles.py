@@ -24,12 +24,15 @@ by walking both nested labels, and the barycentric subdivision labels
 every chain of cells from scratch; cycle representatives solve for
 kernel coordinates with a third Smith form over dense boundaries; the
 dense Smith normal form keeps each of its four transforms as a matrix of
-its own, written in a loop of its own by every elementary operation.
+its own, written in a loop of its own by every elementary operation; the
+diamond and top-cell rules run over dicts keyed by labels and label
+pairs, as the library ran them before its signs moved to cell indices.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -873,3 +876,63 @@ def _dense_reduce_support(vec, d_in) -> list:
                     vec = cand
                     improved = True
     return [int(x) for x in vec]
+
+
+# -- the diamond and top-cell rules over labels --------------------------------
+
+
+# a vertex lies over the empty cell, with its vertex sign +1
+_OVER_EMPTY = ((EMPTY, 1),)
+
+
+def _down(s: Ccc, signs: Mapping, x: CellId) -> tuple:
+    """The faces of ``x``, each with its sign."""
+    if not s.rank(x):
+        return _OVER_EMPTY
+    return tuple((y, signs[(x, y)]) for y in s.faces(x))
+
+
+def _link_signs(down: Mapping):
+    """Signs ``e`` on the cells ``down`` lists (cell -> its faces with
+    their signs), +1 on the first, such that ``e(a) s(a, z) = -e(b) s(b, z)``
+    whenever ``a`` and ``b`` share a face ``z``.  None when the links
+    conflict or do not reach every cell."""
+    above: dict = {}
+    for a, zs in down.items():
+        for z, v in zs:
+            above.setdefault(z, []).append((a, v))
+    root = next(iter(down), None)
+    if root is None:
+        return None
+    e = {root: 1}
+    todo = [root]
+    while todo:
+        a = todo.pop()
+        for z, v in down[a]:
+            want = -e[a] * v
+            for b, w in above[z]:
+                if b is a:
+                    continue
+                if b not in e:
+                    e[b] = want * w
+                    todo.append(b)
+                elif e[b] != want * w:
+                    return None
+    return e if len(e) == len(down) else None
+
+
+def _diamond_signs(s: Ccc, cells) -> tuple:
+    """The canonical signs of the faces of ``cells`` (closed under taking
+    faces, in canonical order) by the diamond rule, and the first cell at
+    which it fails (None if there is none; the signs then stop there)."""
+    signs: dict = {}
+    down: dict = {}  # signed cell -> its faces with their signs
+    for x in cells:
+        if s.rank(x):
+            e = _link_signs({y: down[y] for y in s.faces(x)})
+            if e is None:
+                return signs, x
+            for y in s.faces(x):
+                signs[(x, y)] = e[y]
+        down[x] = _down(s, signs, x)
+    return signs, None

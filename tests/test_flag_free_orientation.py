@@ -6,7 +6,9 @@ fails.  Where one fails, the library 2-colors the flag graph lazily,
 reading each flag's neighbours off the faces.  The oracles list every
 flag and every adjacency first and 2-color the listed graph.  Both must
 give the same signs, vertex signs and colors, and, where a rule fails,
-the same error with the same certificate.
+the same error with the same certificate.  The rules run over cell
+indices; the oracles keep them over labels, and both must give the same
+signs, in the same order, and stop at the same cell.
 """
 
 import hashlib
@@ -14,7 +16,9 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_flag_graph, brute_flags, flag_orient, flag_orient_all_cells
+from oracles import (_diamond_signs as label_diamond_signs, _down as label_down,
+                     _link_signs as label_link_signs, brute_flag_graph, brute_flags,
+                     flag_orient, flag_orient_all_cells)
 
 from cellcomplexes import fileformat, fixtures, flags
 from cellcomplexes.cells import CellId
@@ -164,6 +168,41 @@ _simplices = st.lists(
 @given(_simplices)
 def test_random_simplicial_complexes_match_flag_colorings(simps):
     assert_same_orientations(from_simplicial(simps))
+
+
+def _labelled(s, rows) -> dict:
+    """Index rows as a dict keyed by label pairs, in canonical order."""
+    return {(s.cells[x], s.cells[y]): v for x, fs in enumerate(s._face_ix)
+            for y, v in zip(fs, rows[x]) if v}
+
+
+def assert_index_rules_match_label_rules(s):
+    """The diamond rule over indices gives the label rule's signs, in the
+    same order, and stops at the same cell, on every cell and on the cells
+    below top rank; the top-cell rule gives the same top signs in the same
+    order of discovery."""
+    below_top = s._rank_range(s.dim).start if len(s) else 0
+    for upto in (below_top, len(s)):
+        rows, bad = flags._diamond_signs(s, range(upto))
+        want, want_bad = label_diamond_signs(s, s.cells[:upto])
+        assert (None if bad is None else s.cells[bad]) == want_bad
+        assert list(_labelled(s, rows).items()) == list(want.items())
+    if bad is None and len(s):
+        eps = flags._link_signs({x: flags._down(s, rows, x) for x in s._rank_range(s.dim)})
+        want_eps = label_link_signs({x: label_down(s, want, x) for x in s.cells_of_rank(s.dim)})
+        got = None if eps is None else [(s.cells[x], e) for x, e in eps.items()]
+        assert got == (None if want_eps is None else list(want_eps.items()))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_index_rules_match_label_rules(name):
+    assert_index_rules_match_label_rules(_complex(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplices)
+def test_random_index_rules_match_label_rules(simps):
+    assert_index_rules_match_label_rules(from_simplicial(simps))
 
 
 VALID = ["fixture:torus9", "fixture:tetrahedron_solid", "simplex:4", "boundary:5",

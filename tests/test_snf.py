@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import looped_smith_normal_form, sympy_invariant_factors
 
-from cellcomplexes import fixtures
+from cellcomplexes import fixtures, snf
 from cellcomplexes.chains import chain_complex
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import SignTable, orient_all_cells
@@ -188,6 +188,22 @@ def test_invariant_factors_of_empty_shapes():
     assert invariant_factors([[], []]) == []
     assert invariant_factors(np.zeros((0, 4), dtype=np.int64)) == []
     assert invariant_factors(np.zeros((3, 0), dtype=np.int64)) == []
+
+
+def test_unit_pivots_alone_take_no_dense_smith_form(count_calls):
+    calls = count_calls((snf, "smith_normal_form"))
+    s = fixtures.torus(4)
+    cc = chain_complex(s, orient_all_cells(s))
+    for i in range(s.dim + 2):
+        m = cc.sparse_boundary(i)
+        before = [dict(c) for c in m.column_entries()]
+        f = invariant_factors(m)
+        assert invariant_factors(m) == f and all(d == 1 for d in f)
+        assert m.column_entries() == before  # the elimination works on copies
+    assert calls == []
+    assert invariant_factors([[1, 0], [0, 2]]) == [1, 2]
+    assert invariant_factors([[0, 0]]) == []
+    assert calls == ["smith_normal_form"]  # only the remainder [[2]]
 
 
 def test_invariant_factors_keep_big_entries_exact():
