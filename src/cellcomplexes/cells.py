@@ -4,11 +4,14 @@ A label is either a named base cell or a cone over another label.  Cone
 labels are created by stellar subdivision: subdividing at ``x`` introduces
 one new cell ``C(x;y)`` for every cell ``y`` of the subdivided star's base,
 plus the new vertex ``C(x;0)`` (cone over the empty cell).  Labels nest
-arbitrarily, compare structurally, and carry a total order so that every
-iteration in the library is deterministic.  The order is that of a flat
-sort key, a prefix-free preorder tuple: ``(0,)`` for the empty base,
-``(1, name)`` for a name and ``(2, *apex_key, *base_key)`` for a cone, so
-comparisons run over tuples of names and small ints.
+arbitrarily and carry a total order so that every iteration in the
+library is deterministic.
+
+A label is a tuple whose items are its sort key, a prefix-free preorder
+walk: ``(0,)`` for the empty base, ``(1, name)`` for a name and
+``(2, *apex, *base)`` for a cone.  Hashing, equality and ordering are
+``tuple``'s, so they run in C, and a label equals the plain tuple of its
+key.  A cone copies the keys of its parts when it is built.
 
 Serialized form: a base cell is its name; a cone is ``C(<apex>;<base>)``
 with ``0`` denoting the empty base.  Names are non-empty tokens without
@@ -17,17 +20,18 @@ whitespace or any of ``( ) ; #``, and ``0`` is reserved.
 
 from __future__ import annotations
 
+import re
+
 from .errors import FormatError
 
 _BAD_NAME_CHARS = set("();#") | set(" \t\r\n")
+_TERM = re.compile(r"[^;)]*")  # a name or ``0``, up to the separator after it
 
 
-class _EmptyBase:
+class _EmptyBase(tuple):
     """Marker for the rank -1 empty cell; usable only as a cone base."""
 
     __slots__ = ()
-    _key = (0,)
-    _hash = hash(("a",))
 
     def __repr__(self):
         return "EMPTY"
@@ -36,166 +40,129 @@ class _EmptyBase:
         return "0"
 
 
-EMPTY = _EmptyBase()
+EMPTY = tuple.__new__(_EmptyBase, (0,))
 
 
-class CellId:
+class CellId(tuple):
     """Label of a cell.
 
-    Use :meth:`base` and :meth:`cone` to construct, or :func:`parse_cell_id`
+    Use :meth:`of` and :meth:`cone` to construct, or :func:`parse_cell_id`
     to read the serialized form back.
     """
 
-    __slots__ = ("name", "apex", "base", "_key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, *, name=None, apex=None, base=None):
-        if name is not None:
-            if not name or name == "0" or not _BAD_NAME_CHARS.isdisjoint(name):
-                raise FormatError(f"invalid cell name {name!r}")
-            key, h = (1, name), hash(("b", name))
-        else:
-            if not isinstance(apex, CellId):
-                raise FormatError("cone apex must be a CellId")
-            if not (base is EMPTY or isinstance(base, CellId)):
-                raise FormatError("cone base must be a CellId or EMPTY")
-            # the key is computed on first use (_sort_key)
-            key, h = None, hash(("c", apex._hash, base._hash))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", h)
+    def __new__(cls, *, name=None, apex=None, base=None):
+        return cls.of(name) if name is not None else cls.cone(apex, base)
 
     @classmethod
     def of(cls, name: str) -> "CellId":
-        return cls(name=name)
+        _check_name(name)
+        return tuple.__new__(cls, (1, name))
 
     @classmethod
     def cone(cls, apex: "CellId", base) -> "CellId":
-        return cls(apex=apex, base=base)
+        if not isinstance(apex, CellId):
+            raise FormatError("cone apex must be a CellId")
+        if not (base is EMPTY or isinstance(base, CellId)):
+            raise FormatError("cone base must be a CellId or EMPTY")
+        return tuple.__new__(cls, (2, *apex, *base))
+
+    @property
+    def name(self):
+        """The name of a base cell; None for a cone."""
+        return self[1] if self[0] == 1 else None
 
     @property
     def is_cone(self) -> bool:
-        return self.name is None
+        return self[0] == 2
 
-    def __setattr__(self, *a):
-        raise AttributeError("CellId is immutable")
+    @property
+    def apex(self):
+        """The apex of a cone; None for a base cell."""
+        return _label(self[1:self._split()]) if self[0] == 2 else None
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, CellId) or self._hash != other._hash:
-            return False
-        return _sort_key(self) == _sort_key(other)
+    @property
+    def base(self):
+        """The base of a cone, a label or EMPTY; None for a base cell."""
+        return _label(self[self._split():]) if self[0] == 2 else None
 
-    def __lt__(self, other):
-        if not _is_label(other):
-            return NotImplemented
-        return _sort_key(self) < _sort_key(other)
-
-    def __le__(self, other):
-        if not _is_label(other):
-            return NotImplemented
-        return _sort_key(self) <= _sort_key(other)
-
-    def __gt__(self, other):
-        if not _is_label(other):
-            return NotImplemented
-        return _sort_key(self) > _sort_key(other)
-
-    def __ge__(self, other):
-        if not _is_label(other):
-            return NotImplemented
-        return _sort_key(self) >= _sort_key(other)
-
-    def __hash__(self):
-        return self._hash
+    def _split(self) -> int:
+        """Where a cone's base starts in its key: the end of the apex."""
+        i, todo = 1, 1  # todo: labels still to pass over
+        while todo:
+            tag = self[i]
+            todo += 1 if tag == 2 else -1
+            i += 2 if tag == 1 else 1
+        return i
 
     def __str__(self):
-        if self.name is not None:
-            return self.name
+        if self[0] == 1:
+            return self[1]
         parts = []
-        todo = [self]  # labels and separators still to print, last one first
-        while todo:
-            c = todo.pop()
-            if c.__class__ is str:
-                parts.append(c)
-            elif c is EMPTY:
-                parts.append("0")
-            elif c.name is not None:
-                parts.append(c.name)
-            else:
+        seps = []  # what each open cone writes after its apex and base, last one first
+        items = iter(self)
+        for tag in items:
+            if tag == 2:
                 parts.append("C(")
-                todo += (")", c.base, ";", c.apex)
+                seps += (")", ";")
+                continue
+            parts.append(next(items) if tag == 1 else "0")
+            while seps:  # a label ended: close the cones it ends too
+                parts.append(seps.pop())
+                if parts[-1] == ";":
+                    break
         return "".join(parts)
 
     def __repr__(self):
         return str(self)
 
 
-def _is_label(x) -> bool:
-    return x is EMPTY or isinstance(x, CellId)
+def _label(key: tuple):
+    return EMPTY if key == (0,) else tuple.__new__(CellId, key)
 
 
-def _sort_key(c) -> tuple:
-    """The flat sort key of a label or of the empty base.
-
-    A cone's key is computed on first use and kept.  The walk keeps its
-    own stack and reuses the keys its parts already hold, but stores none
-    for them, so a chain of deep labels compared only at its top costs
-    one key, not one per level.
-    """
-    key = c._key
-    if key is None:
-        out, todo = [], [c]
-        while todo:
-            x = todo.pop()
-            k = x._key
-            if k is not None:
-                out += k
-            else:
-                out.append(2)
-                todo += (x.base, x.apex)
-        key = tuple(out)
-        object.__setattr__(c, "_key", key)
-    return key
+def _check_name(name) -> None:
+    if (not isinstance(name, str) or not name or name == "0"
+            or not _BAD_NAME_CHARS.isdisjoint(name)):
+        raise FormatError(f"invalid cell name {name!r}")
 
 
 def parse_cell_id(token: str) -> CellId:
-    """Parse the serialized form of a cell label."""
-    cid, pos = _parse_id(token, 0)
+    """Parse the serialized form of a cell label, in one pass that writes
+    its key.  Iterative, for any depth."""
+    key = []
+    seps = []  # the separator each open cone expects next: ';' or ')'
+    pos = 0
+    while True:
+        while token.startswith("C(", pos):
+            key.append(2)
+            seps.append(";")
+            pos += 2
+        end = _TERM.match(token, pos).end()
+        term, pos = token[pos:end], end
+        if not term:
+            raise FormatError(f"empty token in cell id {token!r}")
+        if term != "0":
+            _check_name(term)
+            key += (1, term)
+        elif not seps:
+            raise FormatError("the empty cell is not a standalone cell id")
+        elif seps[-1] == ";":
+            raise FormatError(f"cone apex may not be empty in {token!r}")
+        else:
+            key.append(0)
+        while seps and seps[-1] == ")":  # a base ended: close its cone
+            if not token.startswith(")", pos):
+                raise FormatError(f"expected ')' in cone id {token!r}")
+            seps.pop()
+            pos += 1
+        if not seps:
+            break
+        if not token.startswith(";", pos):
+            raise FormatError(f"expected ';' in cone id {token!r}")
+        seps[-1] = ")"
+        pos += 1
     if pos != len(token):
         raise FormatError(f"trailing characters in cell id {token!r}")
-    if cid is EMPTY:
-        raise FormatError("the empty cell is not a standalone cell id")
-    return cid
-
-
-def _parse_id(s: str, pos: int):
-    """The label starting at ``pos`` and the position after it.  Iterative,
-    for any depth: one entry per open cone, None until its apex is read."""
-    apexes = []
-    while True:
-        while s.startswith("C(", pos):
-            apexes.append(None)
-            pos += 2
-        end = pos
-        while end < len(s) and s[end] not in ";)":
-            end += 1
-        tok, pos = s[pos:end], end
-        if not tok:
-            raise FormatError(f"empty token in cell id {s!r}")
-        cur = EMPTY if tok == "0" else CellId.of(tok)
-        while apexes and apexes[-1] is not None:  # cur is a base: close its cone
-            if not s.startswith(")", pos):
-                raise FormatError(f"expected ')' in cone id {s!r}")
-            cur = CellId.cone(apexes.pop(), cur)
-            pos += 1
-        if not apexes:
-            return cur, pos
-        if cur is EMPTY:  # cur is an apex
-            raise FormatError(f"cone apex may not be empty in {s!r}")
-        if not s.startswith(";", pos):
-            raise FormatError(f"expected ';' in cone id {s!r}")
-        apexes[-1] = cur
-        pos += 1
+    return tuple.__new__(CellId, key)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .cells import CellId, _sort_key
+from .cells import CellId
 from .errors import (
     CoverCycleError,
     DuplicateCellError,
@@ -83,9 +83,9 @@ class Ccc:
                  "_faces", "_face_ix", "_cofaces", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
-        order = sorted([(r, _sort_key(c), c) for c, r in ranks.items()])
-        cells = [c for _, _, c in order]
-        rank_of = [r for r, _, _ in order]
+        order = sorted([(r, c) for c, r in ranks.items()])
+        cells = [c for _, c in order]
+        rank_of = [r for r, _ in order]
         index = {c: i for i, c in enumerate(cells)}
         n = len(cells)
         rel = [[index[d] for d in relation.get(c, ())] for c in cells]

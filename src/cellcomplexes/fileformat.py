@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import IO
 
-from .cells import _sort_key, parse_cell_id
+from .cells import parse_cell_id
 from .complexes import Ccc, build_complex
 from .errors import CccError, FormatError
 
@@ -39,15 +39,16 @@ def covering_pairs(s: Ccc):
 
 def _cover_indices(s: Ccc):
     """The index pairs (x, y) of :func:`covering_pairs`."""
-    keys = [_sort_key(c) for c in s.cells]
-    return [(i, j) for i in range(len(keys))
-            for j in sorted(s._covers(i), key=keys.__getitem__)]
+    cells = s.cells
+    return [(i, j) for i in range(len(cells))
+            for j in sorted(s._covers(i), key=cells.__getitem__)]
 
 
 def loads(text: str) -> Ccc:
     """Read a complex.  Labels are interned: each distinct token is parsed
-    once, and every line naming it gets the same ``CellId``, so the lookups
-    that build the complex match on identity."""
+    once, in one pass that writes its key, and every line naming it gets
+    the same ``CellId``, so the lookups that build the complex match on
+    identity before they compare keys."""
     cell_ranks = []
     covers = []
     ids = {}  # token -> its parsed label

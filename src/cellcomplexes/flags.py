@@ -481,6 +481,8 @@ def _locate(s: Ccc, pair) -> tuple:
     """:func:`_position` of ``pair``; ValueError when it is not an
     incidence pair of ``s``."""
     try:
+        if isinstance(pair, CellId):  # a label is a tuple, but not a pair
+            raise TypeError
         x, y = pair
     except (TypeError, ValueError):
         raise ValueError(f"{pair!r} is not a pair of cells") from None

@@ -273,16 +273,25 @@ def solve_columns(basis_cols, target) -> list:
 
     ``basis_cols`` must be independent and span a saturated sublattice
     containing every column of ``target``; raises ArithmeticError when a
-    column is not in the span.
+    column is not in the span, and ValueError when a basis column or a
+    target row has the wrong length.
     """
     n = len(basis_cols[0]) if basis_cols else len(target)
     k = len(basis_cols)
+    cols = len(target[0]) if target else 0
+    for j, col in enumerate(basis_cols):
+        if len(col) != n:
+            raise ValueError(f"basis column {j} has {len(col)} entries, not {n}")
+    if len(target) != n:
+        raise ValueError(f"target has {len(target)} rows, not {n}")
+    for i, row in enumerate(target):
+        if len(row) != cols:
+            raise ValueError(f"target row {i} has {len(row)} entries, not {cols}")
     mat = [[basis_cols[j][i] for j in range(k)] for i in range(n)]
     snf = smith_normal_form(mat)
     if snf.rank != k:
         raise ArithmeticError("basis columns are not independent")
     ub = matmul(snf.u, target)
-    cols = len(target[0]) if target else 0
     coords = []
     for c in range(cols):
         y = [ub[i][c] for i in range(n)]

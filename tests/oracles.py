@@ -20,7 +20,8 @@ given by every cell strictly below each cell (subsets, products of
 closures, sub-chains), closed by repeated composition, and covers are read
 off closures of closures, and cofaces off the up-set masks; greatest
 lower bounds are looked for on every pair of cells; labels are ordered
-by walking both nested labels, and the barycentric subdivision labels
+by walking both nested labels, their keys are read off the serialized
+form by recursive descent, and the barycentric subdivision labels
 every chain of cells from scratch; cycle representatives solve for
 kernel coordinates with a third Smith form over dense boundaries; the
 dense Smith normal form keeps each of its four transforms as a matrix of
@@ -774,6 +775,31 @@ def pairwise_meet_violations(s: Ccc) -> list:
 
 
 # -- labels and the barycentric subdivision -------------------------------------
+
+
+def preorder_key(text: str) -> tuple:
+    """The sort key of a serialized label, read by recursive descent:
+    ``(0,)`` for ``0``, ``(1, name)`` for a name and ``(2, *apex, *base)``
+    for ``C(apex;base)``.  One frame per cone, so for shallow labels."""
+    def term(pos):
+        if text.startswith("C(", pos):
+            apex, pos = term(pos + 2)
+            if not text.startswith(";", pos):
+                raise ValueError(f"expected ';' at {pos} in {text!r}")
+            base, pos = term(pos + 1)
+            if not text.startswith(")", pos):
+                raise ValueError(f"expected ')' at {pos} in {text!r}")
+            return (2,) + apex + base, pos + 1
+        end = pos
+        while end < len(text) and text[end] not in ";)":
+            end += 1
+        name = text[pos:end]
+        return ((0,) if name == "0" else (1, name)), end
+
+    key, pos = term(0)
+    if pos != len(text):
+        raise ValueError(f"trailing characters in {text!r}")
+    return key
 
 
 def _compare(a, b) -> int:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _compare
+from oracles import _compare, preorder_key
 
 from cellcomplexes.cells import CellId, EMPTY, parse_cell_id
 from cellcomplexes.errors import FormatError
@@ -87,6 +87,40 @@ def test_names_reject_reserved_characters():
             CellId.of(bad)
 
 
+def test_names_must_be_strings():
+    # a tuple key would take any item; a list name would fail only when hashed
+    for bad in (["a"], ("a",), 1, None, b"a", CellId.of("a")):
+        with pytest.raises(FormatError):
+            CellId.of(bad)
+
+
+def test_a_label_is_the_tuple_of_its_key():
+    a, b = CellId.of("a"), CellId.of("b")
+    c = CellId.cone(a, CellId.cone(b, EMPTY))
+    assert tuple(a) == (1, "a") and a == (1, "a") and hash(a) == hash((1, "a"))
+    assert tuple(c) == (2, 1, "a", 2, 1, "b", 0) and len(c) == 7 and c[3] == 2
+    assert EMPTY == (0,) and tuple(EMPTY) == (0,)
+    assert c.apex == a and c.base == CellId.cone(b, EMPTY) and c.base.base is EMPTY
+    assert (a.apex, a.base, a.name, c.name) == (None, None, "a", None)
+    assert type(c.apex) is CellId and type(c.base) is CellId
+
+
+def test_hashing_equality_and_order_are_tuples():
+    for method in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(CellId, method) is getattr(tuple, method)
+        assert getattr(type(EMPTY), method) is getattr(tuple, method)
+
+
+def test_the_constructor_takes_no_key():
+    a = CellId.of("a")
+    assert CellId(name="a") == a and CellId(apex=a, base=EMPTY) == CellId.cone(a, EMPTY)
+    for args in [((1, "a"),), ("a",)]:
+        with pytest.raises(TypeError):
+            CellId(*args)
+    with pytest.raises(FormatError):
+        CellId()
+
+
 def test_immutable():
     v = CellId.of("v")
     with pytest.raises(AttributeError):
@@ -145,6 +179,15 @@ def _nested(depth):
         st.tuples(sub, st.one_of(st.just(EMPTY), shallow, sub)),
         st.tuples(shallow, sub),
     ).map(lambda t: CellId.cone(*t))
+
+
+@given(st.one_of(_ids(3), _nested(4)))
+def test_the_label_is_its_preorder_key(c):
+    text = str(c)
+    assert tuple(c) == preorder_key(text) == tuple(parse_cell_id(text))
+    if c.is_cone:
+        assert CellId.cone(c.apex, c.base) == c
+        assert str(c) == f"C({c.apex};{c.base})"
 
 
 @settings(max_examples=200)

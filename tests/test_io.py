@@ -144,3 +144,18 @@ def test_loads_raises_only_format_errors(header, lines):
     except FormatError:
         return
     assert loads(dumps(s)) == s
+
+
+@pytest.mark.parametrize("side", ["apex", "base"])
+def test_deep_labels_load_and_dump_back(side):
+    # 100 000 cones nested on one side, far past the recursion limit
+    depth = 100_000
+    if side == "base":
+        deep = "C(b;" * depth + "a" + ")" * depth
+    else:
+        deep = "C(" * depth + "a" + "".join(";b)" if i % 2 else ";0)" for i in range(depth))
+    text = f"ccc v1\ncell a 0\ncell {deep} 0\ncell e 1\ncover a e\ncover {deep} e\n"
+    s = loads(text)
+    assert dumps(s) == text
+    label = s.cells[1]
+    assert label.count(2) == depth and len(s) == 3

@@ -83,6 +83,35 @@ def test_a_pair_that_is_not_an_incidence_is_rejected(torus3):
     assert len(table.signs) == 72
 
 
+def test_a_single_label_is_not_a_pair():
+    # a name label is the two-item tuple (1, name), yet it names no pair
+    s = fixtures.torus9()
+    table = orient_all_cells(s)
+    h00 = C("h00")
+    assert h00 in s and len(h00) == 2
+    message = re.escape("h00 is not a pair of cells")
+    with pytest.raises(ValueError, match=message):
+        SignTable(s, {h00: 1})
+    with pytest.raises(ValueError, match=message):
+        table.signs[h00] = 1
+    with pytest.raises(KeyError):
+        table.signs[h00]
+    with pytest.raises(KeyError):
+        del table.signs[h00]
+    assert h00 not in table.signs and table.signs == orient_all_cells(s).signs
+
+
+def test_pairs_are_any_two_cells(torus3):
+    s, table = torus3
+    x = s.cells_of_rank(2)[0]
+    y = s.faces(x)[0]
+    v = table.signs[(x, y)]
+    assert table.signs[[x, y]] == table.signs[iter((x, y))] == v
+    table.signs[[x, y]] = -v
+    assert table.s(x, y) == -v
+    assert SignTable(s, dict(table.signs)).signs == table.signs
+
+
 def test_writes_reach_s_and_later_chain_complexes(torus3):
     s, table = torus3
     before = chain_complex(s, table)

@@ -118,6 +118,18 @@ def test_solve_columns_rejects_outside_span():
         solve_columns([[2, 0], [0, 2]], [[1], [1]])
 
 
+@pytest.mark.parametrize("basis, target, message", [
+    ([[1, 0], [0, 1, 7]], [[1], [0]], "basis column 1 has 3 entries, not 2"),
+    ([[1, 0], [0]], [[1], [0]], "basis column 1 has 1 entries, not 2"),
+    ([[1, 0], [0, 1]], [[1], [0, 3]], "target row 1 has 2 entries, not 1"),
+    ([[1, 0], [0, 1]], [[1], [0], [5]], "target has 3 rows, not 2"),
+])
+def test_solve_columns_rejects_ragged_input(basis, target, message):
+    # a long column or row would otherwise be cut short, a short one fail on indexing
+    with pytest.raises(ValueError, match=message):
+        solve_columns(basis, target)
+
+
 def _matrices(entries, max_side=12):
     return st.integers(1, max_side).flatmap(
         lambda m: st.integers(1, max_side).flatmap(
