@@ -9,8 +9,8 @@ divisibility chain of torsion coefficients.
 Boundary columns come from the index tuples: the table's signs of each
 cell, aligned with its face indices.  Cells are sorted by rank, so the
 row of a face is its index minus the first index of its rank, and
-homology and cohomology touch no label.  The label-keyed boundaries
-(``ChainComplex.images``) are built when first read.
+homology and cohomology touch no label.  The columns chain maps share
+and the label-keyed boundaries are built when first read.
 """
 
 from __future__ import annotations
@@ -38,7 +38,11 @@ class Chain:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {c: int(v) for c, v in self.coeffs.items() if v}
+        given = self.coeffs
+        self.coeffs = {c: int(v) for c, v in given.items() if v}
+        if not self.coeffs.items() <= given.items():  # int(v) != v
+            c = next(c for c, v in self.coeffs.items() if given[c] != v)
+            raise ValueError(f"cell {c} has the coefficient {given[c]}, not an integer")
 
     def __add__(self, other):
         if other.degree != self.degree:
@@ -68,13 +72,15 @@ class Chain:
 class ChainComplex:
     """Ordered cell bases per degree plus the boundary of each cell.
 
-    ``images[x]`` is the boundary of ``x``: its faces ``y`` with
-    coefficient ``s(x, y)``.  ``boundary_matrix(i)`` maps degree ``i`` to
-    ``i - 1``; entry ``[y, x]`` is ``s(x, y)``.  With ``augmented=True`` a
-    degree ``-1`` group generated by the empty cell is appended and every
-    vertex maps to its generator.  The signs are copied from the table
-    when the complex is built, one tuple per cell aligned with its face
-    indices; ``images`` and ``index`` are built from them when first read.
+    ``columns[x]`` is the boundary of the cell at index ``x``, a dict from
+    face index ``y`` to ``s(x, y)``; ``images`` reads it with labels.
+    ``boundary_matrix(i)`` maps degree ``i`` to ``i - 1``; entry ``[y, x]``
+    is ``s(x, y)``.  With ``augmented=True`` a degree ``-1`` group
+    generated by the empty cell, which has no index, is appended to
+    ``images`` and the matrices, and every vertex maps to its generator.
+    The signs are copied from the table when the complex is built, one
+    tuple per cell aligned with its face indices; ``columns`` and
+    ``images`` are built from them when first read.
     """
 
     def __init__(self, complex: Ccc, signs: SignTable, augmented: bool = False):
@@ -89,32 +95,31 @@ class ChainComplex:
         _require_signs(complex, self._rows)
 
     @cached_property
+    def columns(self) -> list:
+        return [dict(zip(fs, row)) for fs, row in zip(self.complex._face_ix, self._rows)]
+
+    @cached_property
     def images(self) -> dict:
         cells = self.complex.cells
         return {x: {EMPTY: 1} if self.augmented and not r
-                else {cells[y]: v for y, v in zip(fs, row)}
-                for x, r, fs, row in zip(cells, self.complex._ranks,
-                                         self.complex._face_ix, self._rows)}
-
-    @cached_property
-    def index(self) -> list:
-        return [{c: i for i, c in enumerate(b)} for b in self.bases]
+                else {cells[y]: v for y, v in col.items()}
+                for x, r, col in zip(cells, self.complex._ranks, self.columns)}
 
     def sparse_boundary(self, i: int) -> SparseMatrix:
         """The boundary from degree ``i`` to ``i - 1``, kept sparse, with
         its columns read off the index tuples."""
         if not 0 <= i <= self.dim + 1:
-            return SparseMatrix.of_columns(0, [])
+            return SparseMatrix(0, [])
         if i == 0:
             unit = {0: 1} if self.augmented else {}
-            return SparseMatrix.of_columns(len(unit), [dict(unit) for _ in self.bases[0]])
+            return SparseMatrix(len(unit), [dict(unit) for _ in self.bases[0]])
         if i > self.dim:
-            return SparseMatrix.of_columns(len(self.bases[i - 1]), [])
+            return SparseMatrix(len(self.bases[i - 1]), [])
         s = self.complex
         start = s._rank_range(i - 1).start
         faces, rows = s._face_ix, self._rows
         cols = [dict(zip([y - start for y in faces[x]], rows[x])) for x in s._rank_range(i)]
-        return SparseMatrix.of_columns(len(self.bases[i - 1]), cols)
+        return SparseMatrix(len(self.bases[i - 1]), cols)
 
     def boundary_matrix(self, i: int) -> np.ndarray:
         return np.asarray(self.sparse_boundary(i))
@@ -126,9 +131,7 @@ class ChainComplex:
             if len(degrees) != 1:
                 raise ValueError("chain coefficients must live in one degree")
             degree = degrees.pop()
-        for c in items:
-            if self.complex.rank(c) != degree:
-                raise ValueError(f"cell {c} does not have rank {degree}")
+        _check_cells(self.complex, items, degree)
         return Chain(degree, items)
 
     def from_vector(self, vec, degree: int) -> Chain:
@@ -140,7 +143,7 @@ class ChainComplex:
         if len(vec) != len(basis):
             raise ValueError(f"a degree-{degree} vector has {len(basis)} "
                              f"entries, not {len(vec)}")
-        return Chain(degree, {c: int(v) for c, v in zip(basis, vec)})
+        return Chain(degree, dict(zip(basis, vec)))
 
 
 def chain_complex(s: Ccc, signs: SignTable, augmented: bool = False) -> ChainComplex:
@@ -157,8 +160,16 @@ def _push(coeffs: dict, images: dict) -> dict:
     return {y: v for y, v in out.items() if v}
 
 
+def _check_cells(s: Ccc, cells: Iterable[CellId], degree: int) -> None:
+    """UnknownCellError for a cell not in ``s``; ValueError for a rank other than ``degree``."""
+    for x in cells:
+        if s._ranks[s._i(x)] != degree:
+            raise ValueError(f"cell {x} does not have rank {degree}")
+
+
 def boundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of faces, extended linearly; zero on minimal cells."""
+    _check_cells(cc.complex, c.coeffs, c.degree)
     if c.degree <= 0:  # also on an augmented complex
         return Chain(c.degree - 1)
     return Chain(c.degree - 1, _push(c.coeffs, cc.images))
@@ -166,10 +177,11 @@ def boundary(c: Chain, cc: ChainComplex) -> Chain:
 
 def coboundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of cofaces; zero on maximal cells."""
+    s, cols = cc.complex, cc.columns
+    _check_cells(s, c.coeffs, c.degree)
     if c.degree >= cc.dim:
         return Chain(c.degree + 1)
-    s, rows = cc.complex, cc._rows
-    coimages = {y: {s.cells[x]: rows[x][s._face_ix[x].index(j)] for x in s._coface_ix[j]}
+    coimages = {y: {s.cells[x]: cols[x][j] for x in s._coface_ix[j]}
                 for y, j in zip(c.coeffs, map(s._i, c.coeffs))}
     return Chain(c.degree + 1, _push(c.coeffs, coimages))
 
@@ -229,7 +241,7 @@ def cohomology_of(cc: ChainComplex) -> HomologyResult:
     degree i is the transpose of D_{i+1}, with the same invariant factors.
     The augmentation is ignored."""
     mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
-    mats[0] = SparseMatrix.of_columns(0, [])
+    mats[0] = SparseMatrix(0, [])
     return _groups([len(b) for b in cc.bases], mats, 0)
 
 
@@ -262,8 +274,8 @@ def _homology_of_cells(cc: ChainComplex, cells) -> HomologyResult:
         keep[s._ranks[i]].append(i)
     at = {i: n for k in keep for n, i in enumerate(k)}  # index -> its row or column
     faces, rows = s._face_ix, cc._rows
-    mats = [SparseMatrix.of_columns(0, [{} for _ in keep[0]])]
-    mats += [SparseMatrix.of_columns(len(keep[r - 1]), [
+    mats = [SparseMatrix(0, [{} for _ in keep[0]])]
+    mats += [SparseMatrix(len(keep[r - 1]), [
         {at[y]: v for y, v in zip(faces[x], rows[x]) if y in at} for x in keep[r]])
         for r in range(1, cc.dim + 1)]
     return _groups([len(k) for k in keep], mats, 1)

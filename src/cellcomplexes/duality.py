@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,10 @@ class DualOrientationSet:
     signs: SignTable        # on the complex; maximal cells restrict the global one
     dual_signs: SignTable   # on the dual complex
 
+    @cached_property
+    def to_dual(self) -> list:  # each cell's index in the dual, by its index here
+        return list(map(self.dual_complex._index.__getitem__, self.complex.cells))
+
     def check_sign_law(self) -> int:
         """Verify that the dual table orients the dual complex, and that
         s_dual(y, x) == s(x, y) on every incidence pair; returns the number
@@ -88,13 +93,12 @@ class DualOrientationSet:
                 a, b = over
                 raise CccError(f"{cells[a]} and {cells[b]} give {cells[y]} the same sign")
         # s*(y, x) = s(x, y), reading the dual's cells at their own indices
-        to_dual = [sd._index[c] for c in cells]
         dual_rows, dual_faces = self.dual_signs._rows_on(sd), sd._face_ix
         checked = 0
         for x, (fs, row) in enumerate(zip(faces, rows)):
-            xd = to_dual[x]
+            xd = self.to_dual[x]
             for y, v in zip(fs, row):
-                yd = to_dual[y]
+                yd = self.to_dual[y]
                 dfs = dual_faces[yd]
                 w = dual_rows[yd][dfs.index(xd)] if xd in dfs else 0
                 if not w:
@@ -166,9 +170,10 @@ class StarMap:
     def _mismatches(self, i: int) -> int:
         """Pairs (x, y) where the boundary of ``x`` counts ``y`` differently
         from how the dual boundary of ``y`` counts ``x``."""
-        src, tgt = self.source, self.target
-        a = {(x, y): v for x in src.bases[i + 1] for y, v in src.images[x].items()}
-        b = {(x, y): v for y in src.bases[i] for x, v in tgt.images[y].items()}
+        s, to_dual = self.source.complex, self.orientations.to_dual
+        src, dual = self.source.columns, self.target.columns
+        a = {(to_dual[x], y): v for x in s._rank_range(i + 1) for y, v in src[x].items()}
+        b = {(x, y): v for y in s._rank_range(i) for x, v in dual[to_dual[y]].items()}
         return sum(a.get(k) != b.get(k) for k in a.keys() | b.keys())
 
 

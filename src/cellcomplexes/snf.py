@@ -156,26 +156,13 @@ def smith_normal_form(matrix) -> SmithNormalForm:
 
 
 class SparseMatrix:
-    """Integer matrix kept as columns, each a dict from row number to
-    nonzero entry.
+    """Integer matrix with ``n_rows`` rows, kept as the given columns, each
+    a dict from row number to nonzero entry: the form in which boundaries
+    and chain maps store their columns."""
 
-    ``SparseMatrix(rows, columns, images)`` takes column ``j`` from
-    ``images[columns[j]]``, a mapping from row keys to nonzero entries,
-    with ``rows`` numbering the row keys.  Entries at keys outside
-    ``rows`` are left out, which restricts the matrix to those rows.
-    :meth:`of_columns` takes the columns as they are.
-    """
-
-    def __init__(self, rows, columns, images):
-        self.shape = (len(rows), len(columns))
-        self._columns = [{rows[y]: v for y, v in images[x].items() if y in rows}
-                         for x in columns]
-
-    @classmethod
-    def of_columns(cls, n_rows: int, columns: list) -> "SparseMatrix":
-        m = cls.__new__(cls)
-        m.shape, m._columns = (n_rows, len(columns)), columns
-        return m
+    def __init__(self, n_rows: int, columns: list):
+        self.shape = (n_rows, len(columns))
+        self._columns = columns
 
     def column_entries(self) -> list:
         """Each column as a dict from row number to entry; the matrix's

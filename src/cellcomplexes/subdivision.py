@@ -1,4 +1,4 @@
-"""Stellar and barycentric subdivision with chain maps between them.
+"""Stellar and barycentric subdivision with chain maps between them, by cell index.
 
 Subdividing at a cell ``x`` removes every cell above ``x`` and cones the
 rest of the star off a new vertex: one cone ``C(x;y)`` per cell ``y`` of
@@ -20,13 +20,14 @@ follow the removal rule: dropping the i-th largest member carries (-1)^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .cells import CellId, EMPTY, nest, peel
-from .chains import Chain, ChainComplex, HomologyResult, _push, chain_complex, homology_of
+from .chains import (Chain, ChainComplex, HomologyResult, _check_cells, _push, chain_complex,
+                     homology_of)
 from .complexes import Ccc, _bits
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, _index_flags, _require_signs
@@ -46,40 +47,48 @@ class StellarResult:
 
 class ChainMap:
     """A degree-preserving map of chain groups that intertwines two boundary
-    operators, stored as the image of each source cell: a dict from target
-    cell to nonzero coefficient."""
+    operators, stored as one column per source cell, as a boundary is: a
+    dict from target cell index to nonzero coefficient.  ``images`` reads
+    the columns with labels."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, images: dict):
+    def __init__(self, source: ChainComplex, target: ChainComplex, columns: list):
+        if len(columns) != len(source.complex):
+            raise ValueError(f"{len(columns)} columns for {len(source.complex)} source cells")
         self.source = source
         self.target = target
-        self.images = images
+        self.columns = columns
+
+    @cached_property
+    def images(self) -> dict:
+        cells = self.target.complex.cells
+        return {x: {cells[y]: v for y, v in col.items()}
+                for x, col in zip(self.source.complex.cells, self.columns)}
 
     def matrix(self, d: int):
         """Dense (len(target.bases[d]), len(source.bases[d])) array; 0 x 0
         outside degrees 0..dim."""
         if not 0 <= d <= self.source.dim:
-            return np.asarray(SparseMatrix({}, [], self.images))
-        return np.asarray(SparseMatrix(self.target.index[d], self.source.bases[d], self.images))
+            return np.asarray(SparseMatrix(0, []))
+        src, start = self.source.complex._rank_range(d), self.target.complex._rank_range(d).start
+        return np.asarray(SparseMatrix(len(self.target.bases[d]), [
+            {y - start: v for y, v in self.columns[x].items()} for x in src]))
 
     def apply(self, chain: Chain) -> Chain:
         d = chain.degree
         if not 0 <= d <= self.source.dim:
             return Chain(d)
-        for c in chain.coeffs:
-            if self.source.complex.rank(c) != d:
-                raise ValueError(f"cell {c} does not have rank {d}")
+        _check_cells(self.source.complex, chain.coeffs, d)
         return Chain(d, _push(chain.coeffs, self.images))
 
     def is_chain_map(self) -> bool:
         """Does the boundary of each cell's image equal the image of its boundary?"""
-        return all(_push(img, self.target.images) == _push(self.source.images[x], self.images)
-                   for x, img in self.images.items())
+        return all(_push(col, self.target.columns) == _push(up, self.columns)
+                   for col, up in zip(self.columns, self.source.columns))
 
     def then(self, nxt: "ChainMap") -> "ChainMap":
         if self.target.bases != nxt.source.bases:
             raise ValueError("chain maps do not compose: bases differ")
-        images = {x: _push(img, nxt.images) for x, img in self.images.items()}
-        return ChainMap(self.source, nxt.target, images)
+        return ChainMap(self.source, nxt.target, [_push(col, nxt.columns) for col in self.columns])
 
 
 # -- stellar subdivision ----------------------------------------------------
@@ -190,13 +199,13 @@ def _stellar_map(src: ChainComplex, points) -> ChainMap:
     s, signs = src.complex, src.signs
     out, new_signs, cones, above = _subdivide(s, points, signs)
     tgt = chain_complex(out, new_signs)
-    images = {w: {w: 1} for w in s.cells if w not in above}
-    cells, faces, rows = s.cells, s._face_ix, src._rows
-    for w, x in above.items():
-        i = s._index[w]
-        images[w] = {cones[x][cells[y]]: v for y, v in zip(faces[i], rows[i])
-                     if cells[y] not in above}
-    return ChainMap(src, tgt, images)
+    at, cells = out._index, s.cells
+    columns = []
+    for w, col in zip(cells, src.columns):
+        x = above.get(w)  # identity off the up-sets, cone expansion on them
+        columns.append({at[w]: 1} if x is None else {at[cones[x][cells[y]]]: v
+                       for y, v in col.items() if cells[y] not in above})
+    return ChainMap(src, tgt, columns)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -297,18 +306,17 @@ def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
     bcc, bsigns = target
     src = chain_complex(s, signs)
     tgt = chain_complex(bcc, bsigns)
-    cells = s.cells
-    sign = [dict(zip(fs, row)) for fs, row in zip(s._face_ix, src._rows)]
-    vertex = {i: signs.vertex_signs[cells[i]] for i in s._rank_range(0)}
-    images = {}
-    for i, x in enumerate(cells):
-        img = images[x] = {}
+    at, cells, sign = bcc._index, s.cells, src.columns
+    columns = []
+    for i in range(len(s)):
+        col = {}
         for flag in _index_flags(s, i):
-            color = vertex[flag[-1]]
+            color = signs.vertex_signs[cells[flag[-1]]]
             for a, b in zip(flag, flag[1:]):
                 color *= sign[a][b]
-            img[_cell_of(s, flag[::-1])] = color
-    return ChainMap(src, tgt, images)
+            col[at[_cell_of(s, flag[::-1])]] = color
+        columns.append(col)
+    return ChainMap(src, tgt, columns)
 
 
 @dataclass
@@ -341,7 +349,7 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
     that it equals it.
     """
     cc = chain_complex(s, signs)
-    total = ChainMap(cc, cc, {x: {x: 1} for x in s.cells})
+    total = ChainMap(cc, cc, [{i: 1} for i in range(len(s))])
     stages = []
     for r in range(s.dim, 0, -1):
         points = s.cells_of_rank(r)
@@ -368,14 +376,13 @@ def compare_phi_bigphi(s: Ccc, signs: SignTable):
         raise CccError("stellar tower does not reproduce the barycentric complex")
     flag_map = big_phi(s, signs, target=(bcc, bsigns))
     eps = []
-    for d in range(s.dim + 1):
-        cells = flag_map.source.bases[d]
-        a = {(x, y): v for x in cells for y, v in flag_map.images[x].items()}
-        b = {(x, y): v for x in cells for y, v in tower.phi_total.images[x].items()}
-        if a and not b:
+    for d in range(s.dim + 1):  # equal complexes number their cells alike
+        r = s._rank_range(d)
+        a, b = flag_map.columns[r.start:r.stop], tower.phi_total.columns[r.start:r.stop]
+        if any(a) and not any(b):
             raise CccError(f"maps differ in degree {d}")
         e = 1 if a == b else -1
-        if a != {k: e * v for k, v in b.items()}:
+        if a != [{y: e * v for y, v in col.items()} for col in b]:
             raise CccError(f"no uniform sign relates the maps in degree {d}")
         eps.append(e)
     return eps

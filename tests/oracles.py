@@ -662,14 +662,15 @@ def dense_stellar_map(src, tgt, points) -> list:
     mats = []
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
+        row = {c: i for i, c in enumerate(tgt.bases[d])}
         for j, w in enumerate(src.bases[d]):
             if w in tgt.complex:
-                m[tgt.index[d][w], j] = 1
+                m[row[w], j] = 1
                 continue
             x = next(p for p in points if w in s.up_set(p))
             for y in s.faces(w):
                 if y in tgt.complex:
-                    m[tgt.index[d][CellId.cone(x, y)], j] = signs.s(w, y)
+                    m[row[CellId.cone(x, y)], j] = signs.s(w, y)
         mats.append(m)
     return mats
 
@@ -681,10 +682,10 @@ def dense_flag_sum_map(src, tgt) -> list:
     mats = []
     for d in range(s.dim + 1):
         m = np.zeros((len(tgt.bases[d]), len(src.bases[d])), dtype=np.int64)
+        row = {c: i for i, c in enumerate(tgt.bases[d])}
         for j, x in enumerate(src.bases[d]):
             for flag in flags_of(s, x):
-                m[tgt.index[d][cone_label(s, tuple(reversed(flag)))], j] = \
-                    signs.color(flag)
+                m[row[cone_label(s, tuple(reversed(flag)))], j] = signs.color(flag)
         mats.append(m)
     return mats
 

@@ -22,7 +22,7 @@ from cellcomplexes.chains import (
     relative_homology,
 )
 from cellcomplexes.complexes import euler_characteristic, from_simplicial, simplex_vertices
-from cellcomplexes.errors import MissingSignError
+from cellcomplexes.errors import MissingSignError, UnknownCellError
 from cellcomplexes.flags import SignTable, orient_all_cells, simplicial_signs
 from cellcomplexes.subdivision import barycentric
 
@@ -139,6 +139,41 @@ def test_chain_checks_ranks(torus9, torus9_signs):
     for degree in (0, 2, 7):
         with pytest.raises(ValueError, match=f"cell e00 does not have rank {degree}"):
             cc.chain({C("e00"): 1}, degree)
+
+
+@pytest.mark.parametrize("op", [boundary, coboundary])
+def test_boundaries_reject_a_cell_of_another_rank(torus9, torus9_signs, op):
+    cc = chain_complex(torus9, torus9_signs)
+    for degree in (0, 2):
+        with pytest.raises(ValueError, match=f"cell h00 does not have rank {degree}"):
+            op(Chain(degree, {C("h00"): 1, C("h11"): 1}), cc)
+
+
+@pytest.mark.parametrize("op", [boundary, coboundary])
+def test_boundaries_reject_a_cell_not_in_the_complex(torus9, torus9_signs, op):
+    cc = chain_complex(torus9, torus9_signs)
+    with pytest.raises(UnknownCellError, match="cell zz is not in the complex"):
+        op(Chain(1, {C("h00"): 1, C("zz"): 1}), cc)
+
+
+@pytest.mark.parametrize("v", [1.7, 0.5, -2.5])
+def test_chain_rejects_a_non_integer_coefficient(v):
+    with pytest.raises(ValueError, match=f"cell h00 has the coefficient {v}, not an integer"):
+        Chain(1, {C("h11"): 1, C("h00"): v})
+
+
+def test_chain_takes_integral_numbers():
+    c = Chain(1, {C("h00"): np.int64(3), C("h11"): 2.0, C("e00"): np.int64(0)})
+    assert c.coeffs == {C("h00"): 3, C("h11"): 2}
+    assert all(type(v) is int for v in c.coeffs.values())
+
+
+def test_from_vector_rejects_a_non_integer_entry(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs)
+    x = cc.bases[1][0]
+    with pytest.raises(ValueError, match=f"cell {x} has the coefficient 0.5, not an integer"):
+        cc.from_vector([0.5] + [0] * 17, 1)
+    assert cc.from_vector(np.arange(18, dtype=np.int64), 1) == cc.from_vector(range(18), 1)
 
 
 def test_chain_arithmetic():

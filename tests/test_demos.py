@@ -18,6 +18,8 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    # -W error: the suite's filterwarnings setting does not reach a subprocess
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

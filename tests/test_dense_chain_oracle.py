@@ -96,15 +96,16 @@ def test_random_simplicial_chain_layer_matches_dense_oracle(simps):
     _check_against_dense(s, simplicial_signs(s))
 
 
-def test_sparse_matrix_restricts_to_its_rows():
-    images = {"x": {"a": 2, "b": -1}, "y": {"b": 3}}
-    m = SparseMatrix({"b": 0}, ["x", "y"], images)
-    assert m.shape == (1, 2)
-    assert np.asarray(m).tolist() == [[-1, 3]]
+def test_sparse_matrix_keeps_its_columns():
+    columns = [{0: 2, 1: -1}, {1: 3}]
+    m = SparseMatrix(2, columns)
+    assert m.shape == (2, 2) and m.column_entries() is columns
+    assert np.asarray(m).tolist() == [[2, 0], [-1, 3]]
     assert np.asarray(m, dtype=object).dtype == object
-    assert invariant_factors(m) == [1]
-    assert invariant_factors(SparseMatrix({"a": 0, "b": 1}, ["x", "y"], images)) == [1, 6]
-    assert invariant_factors(SparseMatrix({}, [], images)) == []
+    assert invariant_factors(m) == [1, 6]
+    assert invariant_factors(SparseMatrix(1, [{0: -1}, {0: 3}])) == [1]
+    assert invariant_factors(SparseMatrix(0, [])) == []
+    assert np.asarray(SparseMatrix(3, [])).shape == (3, 0)
 
 
 def test_torus_pipeline_writes_no_dense_matrix(monkeypatch):

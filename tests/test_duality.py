@@ -194,7 +194,16 @@ def test_star_map_mismatches_count_differing_entries(torus9, torus_dos):
 
 def test_star_map_mismatches_count_an_entry_missing_on_one_side(torus_dos):
     sm = StarMap(torus_dos)
-    del sm.target.images[C("v00")][C("h00")]  # the dual boundary loses one face
+    sd = sm.target.complex
+    del sm.target.columns[sd._i(C("v00"))][sd._i(C("h00"))]  # the dual boundary loses one face
+    assert [sm._mismatches(i) for i in range(sm.n)] == [1, 0]
+    assert not sm.intertwines()
+
+
+def test_star_map_mismatches_count_an_entry_only_in_the_primal_boundary(torus_dos):
+    sm = StarMap(torus_dos)
+    s = sm.source.complex
+    del sm.source.columns[s._i(C("h00"))][s._i(C("v00"))]  # the boundary loses one face
     assert [sm._mismatches(i) for i in range(sm.n)] == [1, 0]
     assert not sm.intertwines()
 

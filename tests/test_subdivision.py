@@ -210,11 +210,12 @@ def test_phi_cone_expansion(torus9, torus9_signs):
     support = {f.target.bases[2][i] for i in np.nonzero(col)[0]}
     expected = {CellId.cone(x, y) for y in torus9.faces(w) if y != x}
     assert support == expected
-    for y in torus9.faces(w):
-        if y == x:
-            continue
-        i = f.target.index[2][CellId.cone(x, y)]
-        assert col[i] == torus9_signs.s(w, y)
+    t = f.target.complex
+    start = t._rank_range(2).start
+    cones = {y: t._i(CellId.cone(x, y)) for y in torus9.faces(w) if y != x}
+    assert f.columns[torus9._i(w)] == {i: torus9_signs.s(w, y) for y, i in cones.items()}
+    for y, i in cones.items():
+        assert col[i - start] == torus9_signs.s(w, y)
 
 
 def test_phi_is_zero_outside_its_degrees(torus9, torus9_signs):
@@ -241,14 +242,52 @@ def test_then_rejects_maps_that_do_not_meet(torus9, torus9_signs):
         f.then(g)
 
 
+def _replace_column(f, i, col):
+    """``f`` with the column of the source cell at index ``i`` replaced."""
+    return ChainMap(f.source, f.target, [col if j == i else c for j, c in enumerate(f.columns)])
+
+
 def test_then_and_apply_add_images_up(torus9, torus9_signs):
     cc = chain_complex(torus9, torus9_signs)
+    ident = ChainMap(cc, cc, [{j: 1} for j in range(len(torus9))])
     a, b = C("h00"), C("h11")
-    ident = {x: {x: 1} for x in torus9.cells}
-    f = ChainMap(cc, cc, {**ident, a: {a: 1, b: 1}})
-    g = ChainMap(cc, cc, {**ident, b: {a: -1, b: 1}})
-    assert f.then(g).images[a] == {b: 1}  # the two paths to h00 cancel
+    ia, ib = torus9._i(a), torus9._i(b)
+    f = _replace_column(ident, ia, {ia: 1, ib: 1})
+    g = _replace_column(ident, ib, {ia: -1, ib: 1})
+    fg = f.then(g)
+    assert fg.columns[ia] == {ib: 1}  # the two paths to h00 cancel
+    assert fg.images[a] == {b: 1}
     assert f.apply(Chain(1, {a: 1, b: 1})) == Chain(1, {a: 1, b: 2})
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_chain_map_needs_one_column_per_source_cell(torus9, torus9_signs, extra):
+    cc = chain_complex(torus9, torus9_signs)
+    columns = [{i: 1} for i in range(len(torus9) + extra)]
+    with pytest.raises(ValueError, match=f"^{36 + extra} columns for 36 source cells$"):
+        ChainMap(cc, cc, columns)
+
+
+def _label_reading(f, d):
+    """The nonzero entries of ``f.matrix(d)``, keyed by labels."""
+    m = f.matrix(d)
+    out = {x: {} for x in f.source.bases[d]}
+    for i, j in zip(*np.nonzero(m)):
+        out[f.source.bases[d][j]][f.target.bases[d][i]] = int(m[i, j])
+    return out
+
+
+@pytest.mark.parametrize("name,args", ORIENTED)
+def test_images_read_the_columns_of_the_matrices(name, args):
+    s = fixtures.fixture(name, *args)
+    signs = orient_all_cells(s)
+    maps = [big_phi(s, signs), barycentric_via_stellar(s, signs).phi_total]
+    maps += [phi(s, x, signs) for x in s.cells if s.rank(x) >= 1][:3]
+    for f in maps:
+        read = {}
+        for d in range(s.dim + 1):
+            read.update(_label_reading(f, d))
+        assert f.images == read
 
 
 def _assert_matrices(f, mats):
@@ -304,20 +343,19 @@ def _squares_over(s, x):
 
 def test_is_chain_map_rejects_a_perturbed_coefficient(torus9, torus9_signs):
     f = phi(torus9, C("e00"), torus9_signs)
-    w = _squares_over(torus9, C("e00"))[0]
-    cone, v = next(iter(f.images[w].items()))
-    bad = ChainMap(f.source, f.target, {**f.images, w: {**f.images[w], cone: 2 * v}})
+    w = torus9._i(_squares_over(torus9, C("e00"))[0])
+    cone, v = next(iter(f.columns[w].items()))
+    bad = _replace_column(f, w, {**f.columns[w], cone: 2 * v})
     assert f.is_chain_map() and not bad.is_chain_map()
 
 
 def test_is_chain_map_rejects_a_misplaced_cone_image(torus9, torus9_signs):
     # one cone in the image of a square moves to a cone over the other square
     f = phi(torus9, C("e00"), torus9_signs)
-    a, b = _squares_over(torus9, C("e00"))
-    old = next(c for c in f.images[a] if c not in f.images[b])
-    new = next(c for c in f.images[b] if c not in f.images[a])
-    image = {new if c == old else c: v for c, v in f.images[a].items()}
-    bad = ChainMap(f.source, f.target, {**f.images, a: image})
+    a, b = map(torus9._i, _squares_over(torus9, C("e00")))
+    old = next(c for c in f.columns[a] if c not in f.columns[b])
+    new = next(c for c in f.columns[b] if c not in f.columns[a])
+    bad = _replace_column(f, a, {new if c == old else c: v for c, v in f.columns[a].items()})
     assert f.is_chain_map() and not bad.is_chain_map()
 
 
@@ -536,8 +574,8 @@ def test_compare_reports_maps_without_a_uniform_sign(torus9, torus9_signs, monke
 
     def doubled(*args, **kwargs):
         f = real(*args, **kwargs)
-        images = {x: {y: 2 * v for y, v in img.items()} for x, img in f.images.items()}
-        return ChainMap(f.source, f.target, images)
+        columns = [{y: 2 * v for y, v in col.items()} for col in f.columns]
+        return ChainMap(f.source, f.target, columns)
 
     monkeypatch.setattr(subdivision, "big_phi", doubled)
     with pytest.raises(CccError, match="no uniform sign relates the maps in degree 0"):
@@ -550,7 +588,7 @@ def test_compare_reports_maps_that_differ(torus9, torus9_signs, monkeypatch):
     def zero_total(*args):
         tower = real(*args)
         f = tower.phi_total
-        tower.phi_total = ChainMap(f.source, f.target, {x: {} for x in f.images})
+        tower.phi_total = ChainMap(f.source, f.target, [{} for _ in f.columns])
         return tower
 
     monkeypatch.setattr(subdivision, "barycentric_via_stellar", zero_total)
