@@ -2,8 +2,13 @@
 
 A :class:`Ccc` stores every cell's rank together with the full order
 relation, one bitset row per cell, so comparability, closures, meets and
-interval queries are cheap, and its faces and cofaces by cell index.  Complexes are immutable once built; all
-operations are pure queries or return new complexes.
+interval queries are cheap, and its faces and cofaces by cell index.
+Complexes are immutable once built; all operations are pure queries or
+return new complexes.  One core builds every complex from its cells as
+parallel lists, each naming the positions of the cells below it:
+``Ccc(ranks, relation)`` is its front end for labels, and the derived
+complexes (products, simplicial complexes, subcomplexes, duals and
+subdivisions) go through :func:`_assemble` by position.
 
 The four axioms a combinatorial cell complex must satisfy:
 
@@ -19,11 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Mapping
 
 from .cells import CellId
 from .errors import (
+    CccError,
     CoverCycleError,
     DuplicateCellError,
     EmptyComplexError,
@@ -79,19 +85,45 @@ class Ccc:
     (``_face_ix`` and ``_coface_ix``); :meth:`faces` and :meth:`cofaces`
     put them in labels on each call.  Use :func:`build_complex`,
     :func:`from_simplicial`, :func:`product` or the subdivision module to
-    construct instances.
+    construct instances.  The constructor takes ``ranks`` and
+    ``relation`` keyed by label; a relation that names a cell without a
+    rank raises UnknownCellError, a negative rank RankOrderError.
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
                  "_face_ix", "_coface_ix", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
-        order = sorted([(r, c) for c, r in ranks.items()])
-        cells = [c for _, c in order]
-        rank_of = [r for r, _ in order]
-        index = {c: i for i, c in enumerate(cells)}
-        n = len(cells)
-        rel = [[index[d] for d in relation.get(c, ())] for c in cells]
+        order = sorted([(r, c) for c, r in ranks.items()])  # canonical: _setup renumbers none
+        if order and order[0][0] < 0:
+            raise RankOrderError(f"cell {order[0][1]} has negative rank {order[0][0]}")
+        labels = [c for _, c in order]
+        at = dict(zip(labels, range(len(labels))))
+        below = [()] * len(labels)
+        try:
+            for c, ds in relation.items():
+                below[at[c]] = [at[d] for d in ds]
+        except KeyError as e:
+            raise UnknownCellError(f"the relation names the unknown cell {e.args[0]}") from None
+        self._setup(labels, [r for r, _ in order], below)
+
+    def _setup(self, labels: list, ranks: list, below: list, signs=None):
+        """The construction core: number the cells ``labels[p]`` of rank
+        ``ranks[p]`` in canonical order and close the relation that names
+        the positions ``below[p]`` under each.  Returns the complex and,
+        where ``signs[p]`` signs the cells ``below[p]`` names in order, up
+        to its last face, its sign rows aligned with ``_face_ix`` (0: none)."""
+        n = len(labels)
+        order = sorted(range(n), key=list(zip(ranks, labels)).__getitem__)
+        cells, rank_of, rel = labels, ranks, below
+        if order != list(range(n)):  # renumber: new[p] is the index of position p
+            new = sorted(range(n), key=order.__getitem__)
+            cells, rank_of = [labels[p] for p in order], [ranks[p] for p in order]
+            rel = [tuple(map(new.__getitem__, below[p])) for p in order]
+        index = dict(zip(cells, range(n)))
+        if len(index) != n:
+            twice = next(c for i, c in enumerate(cells) if index[c] != i)
+            raise CccError(f"labels collide: {twice} names two cells")
         # a cell's closure is taken after those of the cells it names: a cell
         # naming an unfinished one waits (-1) on the stack until they are done
         below = [0] * n
@@ -134,6 +166,10 @@ class Ccc:
         self._coface_ix = tuple(map(tuple, cofaces))
         self._rank_masks = rank_masks
         self._dim = max(self._ranks) if cells else -1
+        zero = repeat(0)
+        return self, None if signs is None else [
+            signs[p] if rs == fs else tuple(map(dict(zip(rs, signs[p])).get, fs, zero))
+            for p, fs, rs in zip(order, face_ix, rel)]
 
     # -- basic queries -------------------------------------------------
 
@@ -269,10 +305,9 @@ class Ccc:
             if self._below[i] & ~mask:
                 raise ValueError("subset is not closed: "
                                  f"{self._cells[i]} has faces outside it")
-        ranks = {self._cells[i]: self._ranks[i] for i in chosen}
-        sb = {self._cells[i]: [self._cells[j] for j in _bits(self._below[i] & ~(1 << i))]
-              for i in chosen}
-        return Ccc(ranks, sb)
+        at = dict(zip(chosen, range(len(chosen))))
+        return _assemble([self._cells[i] for i in chosen], [self._ranks[i] for i in chosen],
+                         [[at[j] for j in _bits(self._below[i] ^ (1 << i))] for i in chosen])[0]
 
     def skeleton(self, i: int) -> "Ccc":
         if i < 0:
@@ -319,11 +354,8 @@ class Ccc:
         cls = self.classify()
         if not cls.manifold_like:
             raise NotManifoldLikeError("dual is defined only for manifold-like complexes")
-        n = self._dim
-        ranks = {c: n - self._ranks[i] for i, c in enumerate(self._cells)}
-        sb = {c: [self._cells[j] for j in _bits(self._above[i] & ~(1 << i))]
-              for i, c in enumerate(self._cells)}
-        return Ccc(ranks, sb)
+        return _assemble(self._cells, [self._dim - r for r in self._ranks],
+                         [list(_bits(m ^ (1 << i))) for i, m in enumerate(self._above)])[0]
 
     # -- axiom validation ------------------------------------------------
 
@@ -434,6 +466,13 @@ class Ccc:
 
 # -- constructors --------------------------------------------------------
 
+MAX_CELLS = 100_000  # the most cells a fixture, product or subdivision may have
+
+
+def _assemble(labels: list, ranks: list, below: list, signs=None):
+    """The complex :meth:`Ccc._setup` builds, and its sign rows."""
+    return Ccc.__new__(Ccc)._setup(labels, ranks, below, signs)
+
 
 def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
     """Assemble a complex from (cell, rank) pairs and covering pairs.
@@ -470,23 +509,21 @@ def product(x: Ccc, y: Ccc) -> Ccc:
     Cell labels must be plain named cells on both sides; the pair
     ``(a, b)`` is labelled ``a*b``.
     """
+    if len(x) * len(y) > MAX_CELLS:
+        raise ValueError(f"the product has {len(x)} * {len(y)} = {len(x) * len(y)} cells, "
+                         f"more than {MAX_CELLS}")
     for s in (x, y):
         for c in s.cells:
             if c.is_cone or "*" in c.name:
                 raise ValueError("product factors must have plain named cells "
                                  "without '*'")
-    names = {}
-    ranks = {}
-    for a in x.cells:
-        for b in y.cells:
-            c = CellId.of(f"{a}*{b}")
-            names[(a, b)] = c
-            ranks[c] = x.rank(a) + y.rank(b)
-    cov_x = {a: x.covers(a) for a in x.cells}
-    cov_y = {b: y.covers(b) for b in y.cells}
-    below = {c: [names[(a2, b)] for a2 in cov_x[a]] + [names[(a, b2)] for b2 in cov_y[b]]
-             for (a, b), c in names.items()}
-    return Ccc(ranks, below)
+    m = len(y)  # the pair of the cells at i in x and j in y sits at i * m + j
+    cx = list(map(x._covers, range(len(x))))
+    cy = list(map(y._covers, range(m)))
+    return _assemble([CellId.of(f"{a}*{b}") for a in x.cells for b in y.cells],
+                     [r + q for r in x._ranks for q in y._ranks],
+                     [[k * m + j for k in cx[i]] + [i * m + k for k in cy[j]]
+                      for i in range(len(x)) for j in range(m)])[0]
 
 
 _SIMPLEX_SEP = "_"
@@ -508,10 +545,10 @@ def from_simplicial(simplices: Iterable[Iterable[str]]) -> Ccc:
                 raise ValueError(f"vertex token {v!r} contains {_SIMPLEX_SEP!r}")
         for k in range(1, len(vs) + 1):
             closed.update(frozenset(c) for c in combinations(sorted(vs), k))
-    ids = {s: CellId.of(_SIMPLEX_SEP.join(sorted(s))) for s in closed}
-    ranks = {ids[s]: len(s) - 1 for s in closed}
-    below = {ids[s]: [ids[s - {v}] for v in s if len(s) > 1] for s in closed}
-    return Ccc(ranks, below)
+    at = dict(zip(closed, range(len(closed))))  # a set unchanged iterates in one order
+    return _assemble([CellId.of(_SIMPLEX_SEP.join(sorted(s))) for s in closed],
+                     [len(s) - 1 for s in closed],
+                     [[at[s - {v}] for v in s if len(s) > 1] for s in closed])[0]
 
 
 def simplex_vertices(x: CellId) -> tuple:

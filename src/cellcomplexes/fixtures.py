@@ -8,7 +8,7 @@ The torus fixture names its cells ``v<r><c>`` (vertices), ``h<r><c>``
 from __future__ import annotations
 
 from .cells import CellId
-from .complexes import Ccc, build_complex, from_simplicial, product
+from .complexes import MAX_CELLS, Ccc, build_complex, from_simplicial, product
 
 
 def _c(name: str) -> CellId:
@@ -181,9 +181,6 @@ FIXTURES = {
     "disjoint_triangles": disjoint_triangles,
     "bad_axiom4": bad_axiom4,
 }
-
-
-MAX_CELLS = 100_000
 
 
 def fixture(name: str, *args) -> Ccc:

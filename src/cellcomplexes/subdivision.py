@@ -15,10 +15,17 @@ same nested cone, ``C(c1; ... C(cr; c0))`` when ``c0`` is a vertex and
 ``C(c0; ... C(cr; 0))`` otherwise, written and read back in one pass over
 the keys; this realizes the comparison bijection directly.  Its signs
 follow the removal rule: dropping the i-th largest member carries (-1)^i.
+
+Both constructions hand their cells, the positions of the cells below
+each and one sign per face to the complex builder, which returns the
+sign rows aligned with the new complex's faces.  A barycentric
+subdivision of more than ``MAX_CELLS`` cells is refused before it is
+built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable
@@ -28,7 +35,7 @@ import numpy as np
 from .cells import CellId, EMPTY, nest, peel
 from .chains import (Chain, ChainComplex, HomologyResult, _check_cells, _push, chain_complex,
                      homology_of)
-from .complexes import Ccc, _bits
+from .complexes import MAX_CELLS, Ccc, _assemble, _bits
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, _index_flags, _require_signs
 from .snf import SparseMatrix
@@ -49,11 +56,19 @@ class ChainMap:
     """A degree-preserving map of chain groups that intertwines two boundary
     operators, stored as one column per source cell, as a boundary is: a
     dict from target cell index to nonzero coefficient.  ``images`` reads
-    the columns with labels."""
+    the columns with labels.  A column that holds a target cell of another
+    rank than its source cell raises ValueError naming the source cell."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, columns: list):
         if len(columns) != len(source.complex):
             raise ValueError(f"{len(columns)} columns for {len(source.complex)} source cells")
+        s, t = source.complex, target.complex
+        for d in s._rank_masks:  # every column must land in its source cell's degree
+            span, ok = s._rank_range(d), t._rank_range(d)
+            ys = list(itertools.chain.from_iterable(columns[span.start:span.stop]))
+            if ys and (min(ys) < ok.start or max(ys) >= ok.stop):
+                x = next(x for x in span if not all(y in ok for y in columns[x]))
+                raise ValueError(f"the image of {s.cells[x]} has cells outside degree {d}")
         self.source = source
         self.target = target
         self.columns = columns
@@ -119,40 +134,30 @@ def _subdivide(s: Ccc, points, signs: SignTable):
         cones[x] = cone
 
     cells, faces = s.cells, s._face_ix
-    old = [i for i, z in enumerate(cells) if z not in above]
-    ranks = {cells[i]: s._ranks[i] for i in old}
-    below = {cells[i]: s.covers(cells[i]) for i in old}
-    for cone in cones.values():
-        ranks[cone[EMPTY]] = 0
-        below[cone[EMPTY]] = ()
-        for y, c in cone.items():
-            if y is EMPTY:
-                continue
-            ranks[c] = s.rank(y) + 1
-            below[c] = [y, cone[EMPTY]] + [cone[z] for z in below[y]]
-    out = Ccc(ranks, below)
-
-    # old cells keep their faces and signs; each cone takes the cone rule
-    at, rows = out._index, [()] * len(out)
     given = signs._rows_on(s)
+    old = [i for i, z in enumerate(cells) if z not in above]
     _require_signs(s, given, old)
-    for i in old:
-        rows[at[cells[i]]] = given[i]
+    # positions: the old cells, then each point's apex and its cones.  An
+    # old cell names its faces, which its signs follow, then any cover that
+    # is not a face (only where the axioms fail): the order closes covers
+    at, named = [-1] * len(s), [()] * len(s)
+    for p, i in enumerate(old):
+        at[i], cv = p, s._covers(i)
+        named[i] = faces[i] if cv == faces[i] else faces[i] + cv
+    labels, ranks = [cells[i] for i in old], [s._ranks[i] for i in old]
+    below = [[at[j] for j in named[i]] for i in old]
+    rows = [given[i] for i in old]
     for cone in cones.values():
-        apex = at[cone[EMPTY]]
-        for y, c in cone.items():
-            if y is EMPTY:
-                continue
-            iy = s._i(y)
-            sign = {at[y]: 1}
-            if s._ranks[iy]:
-                _require_signs(s, given, (iy,))
-                for z, v in zip(faces[iy], given[iy]):
-                    sign[at[cone[cells[z]]]] = -v
-            else:
-                sign[apex] = -signs.vertex_signs[y]
-            ic = at[c]
-            rows[ic] = tuple(sign.get(j, 0) for j in out._face_ix[ic])
+        apex = len(labels)
+        base = [s._i(y) for y in cone if y is not EMPTY]
+        pos = dict(zip(base, range(apex + 1, apex + 1 + len(base))))
+        labels += [cone[EMPTY], *(cone[cells[i]] for i in base)]
+        ranks += [0, *(s._ranks[i] + 1 for i in base)]
+        below += [[], *([at[i], apex, *map(pos.__getitem__, named[i])] for i in base)]
+        # the cone rule; the apex is a face only of the cone over a vertex
+        rows += [(), *((1, -signs.vertex_signs.get(cells[i], 0), *(-v for v in given[i]))
+                       for i in base)]
+    out, rows = _assemble(labels, ranks, below, rows)
     return out, SignTable._of(out, rows, signs.vertex_signs), cones, above
 
 
@@ -262,6 +267,18 @@ def _chains(s: Ccc) -> list:
     return out
 
 
+def _refuse_oversize(s: Ccc) -> None:
+    """Raises ValueError when the barycentric subdivision of ``s`` has more
+    than ``MAX_CELLS`` cells, counted without building it: the chains that
+    end in a cell number one plus those that end in each cell below it."""
+    ends = [0] * len(s)
+    for i in sorted(range(len(s)), key=lambda i: s._below[i].bit_count()):
+        ends[i] = 1 + sum(map(ends.__getitem__, _bits(s._below[i] ^ (1 << i))))
+    if sum(ends) > MAX_CELLS:
+        raise ValueError(f"the barycentric subdivision has {sum(ends)} cells, "
+                         f"more than {MAX_CELLS}")
+
+
 @cache
 def _removal_signs(n: int) -> tuple:
     """The sign (-1)^(n - 1 - k) of dropping the k-th of n members."""
@@ -274,36 +291,28 @@ def barycentric(s: Ccc):
     Cells are chains ordered by inclusion and rank is length minus one.
     Members of a chain are ranked by their rank in ``s``, and removing the
     i-th largest member carries sign (-1)^i.  Each chain is labelled by
-    :func:`cell_of_chain`.
+    :func:`cell_of_chain`; labels that collide, which only a complex that
+    already uses chain labels can make, raise CccError.  A subdivision of
+    more than ``MAX_CELLS`` cells raises ValueError before it is built.
     """
-    label = {}  # chain -> its cell, to look up faces
-    ranks, below = {}, {}
-    for ch in _chains(s):  # the faces of a chain come before it
-        c = label[ch] = _cell_of(s, ch)
-        r = ranks[c] = len(ch) - 1
-        if r:
-            below[c] = [label[ch[:k] + ch[k + 1:]] for k in range(r + 1)]
-    if len(ranks) != len(label):
-        raise CccError("chain labels collide; complex already uses them")
-    out = Ccc(ranks, below)
-    at, rows = out._index, [()] * len(out)
-    for c, faces in below.items():  # the k-th face drops the k-th member
-        i = at[c]
-        sign = dict(zip(map(at.__getitem__, faces), _removal_signs(len(faces))))
-        rows[i] = tuple(map(sign.__getitem__, out._face_ix[i]))
+    _refuse_oversize(s)
+    chains = _chains(s)
+    at = dict(zip(chains, range(len(chains))))
+    below = [[at[ch[:k] + ch[k + 1:]] for k in range(len(ch))] if len(ch) > 1 else ()
+             for ch in chains]  # the k-th face drops the k-th member
+    out, rows = _assemble([_cell_of(s, ch) for ch in chains], [len(ch) - 1 for ch in chains],
+                          below, [_removal_signs(len(fs)) for fs in below])
     return out, SignTable._of(out, rows)
 
 
-def big_phi(s: Ccc, signs: SignTable, target=None) -> ChainMap:
+def big_phi(s: Ccc, signs: SignTable) -> ChainMap:
     """Chain map into the barycentric subdivision: a cell goes to the
     signed sum of its flags, weighted by its chosen orientation.
 
     Flags are walked as cell indices; a flag's color is the product of
     the signs along it times its vertex's sign, and its cell is labelled
     by :func:`cell_of_chain`, as in :func:`barycentric`."""
-    if target is None:
-        target = barycentric(s)
-    bcc, bsigns = target
+    bcc, bsigns = barycentric(s)
     src = chain_complex(s, signs)
     tgt = chain_complex(bcc, bsigns)
     at, cells, sign = bcc._index, s.cells, src.columns
@@ -346,8 +355,10 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
     collected), so one complex, sign table, chain complex and chain map
     are built per stage.  The final complex carries the chain labels of
     the barycentric subdivision, and :func:`compare_phi_bigphi` checks
-    that it equals it.
+    that it equals it.  A subdivision of more than ``MAX_CELLS`` cells
+    raises ValueError before it is built.
     """
+    _refuse_oversize(s)
     cc = chain_complex(s, signs)
     total = ChainMap(cc, cc, [{i: 1} for i in range(len(s))])
     stages = []
@@ -371,10 +382,9 @@ def compare_phi_bigphi(s: Ccc, signs: SignTable):
     sign, which this returns.  Raises if no uniform sign exists.
     """
     tower = barycentric_via_stellar(s, signs)
-    bcc, bsigns = barycentric(s)
-    if tower.final != bcc:
+    flag_map = big_phi(s, signs)
+    if tower.final != flag_map.target.complex:
         raise CccError("stellar tower does not reproduce the barycentric complex")
-    flag_map = big_phi(s, signs, target=(bcc, bsigns))
     eps = []
     for d in range(s.dim + 1):  # equal complexes number their cells alike
         r = s._rank_range(d)

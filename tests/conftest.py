@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +65,20 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def run_capped():
+    """``run_capped(code)`` runs ``code`` in a fresh interpreter that caps
+    its own address space at 1 GiB first, so that a complex built by
+    mistake fails there with MemoryError instead of filling the machine."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    prelude = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                              text=True, timeout=120, env=env)
+
+    return run

@@ -105,6 +105,21 @@ def test_fixtures_up_to_the_cap_still_build():
     assert fixtures.MAX_CELLS == 100_000
 
 
+@pytest.mark.parametrize("params,argv,count", [
+    (["simplex", "7"], ["subdivide", "--barycentric"], 1_091_669),
+    (["simplex_boundary", "7"], ["duality"], 545_834)])
+def test_oversize_subdivisions_exit_2_before_they_are_built(tmp_path, run_capped,
+                                                            params, argv, count):
+    p = tmp_path / "big.ccc"
+    p.write_text(run_cli(["example", *params])[1])
+    proc = run_capped("import sys\n"
+                      "from cellcomplexes.cli import main\n"
+                      f"sys.exit(main({[argv[0], str(p), *argv[1:]]!r}))\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the barycentric subdivision has {count} cells, "
+                           "more than 100000\n")
+
+
 def test_example_simplex_boundary_round_trips():
     code, text = run_cli(["example", "simplex_boundary", "4"])
     assert code == 0

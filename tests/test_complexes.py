@@ -61,6 +61,21 @@ def test_build_errors():
         build_complex([(C("e"), 1)], [(C("e"), C("e"))])
 
 
+def test_relation_naming_an_unknown_cell_is_refused():
+    with pytest.raises(UnknownCellError, match="unknown cell zz"):
+        Ccc({C("a"): 1}, {C("a"): [C("zz")]})
+
+
+def test_relation_keyed_by_an_unknown_cell_is_refused():
+    with pytest.raises(UnknownCellError, match="unknown cell b"):
+        Ccc({C("a"): 0}, {C("b"): [C("a")]})
+
+
+def test_negative_rank_is_refused():
+    with pytest.raises(RankOrderError, match="cell a has negative rank -1"):
+        Ccc({C("a"): -1}, {})
+
+
 def test_order_is_transitive_closure_of_covers(torus9):
     assert torus9.lt(C("v00"), C("f00"))
     assert not torus9.lt(C("v22"), C("f00"))
@@ -371,6 +386,17 @@ def test_product_rank_additive(torus9):
 
 
 # -- from_simplicial and skeleton -------------------------------------------
+
+
+def test_oversize_product_is_refused_before_it_is_built(run_capped):
+    proc = run_capped("from cellcomplexes import complexes, fixtures\n"
+                      "s = fixtures.simplex(8)\n"
+                      "try:\n"
+                      "    complexes.product(s, s)\n"
+                      "except ValueError as e:\n"
+                      "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the product has 511 * 511 = 261121 cells, more than 100000\n"
 
 
 def test_from_simplicial_single_vertex():

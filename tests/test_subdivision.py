@@ -17,9 +17,9 @@ from oracles import (
 )
 
 from cellcomplexes import fixtures, subdivision
-from cellcomplexes.cells import CellId, EMPTY, nest
+from cellcomplexes.cells import CellId, EMPTY, nest, parse_cell_id
 from cellcomplexes.chains import Chain, chain_complex, homology, homology_of, is_acyclic
-from cellcomplexes.complexes import Ccc, euler_characteristic
+from cellcomplexes.complexes import Ccc, build_complex, euler_characteristic
 from cellcomplexes.errors import CccError, UnknownCellError
 from cellcomplexes.fileformat import dumps
 from cellcomplexes.flags import flag_graph, orient_all_cells
@@ -489,11 +489,73 @@ def test_tower_torus(torus9, torus9_signs):
     assert tower.iso[deep] == (C("v00"), C("h00"), C("f00"))
 
 
+_OVERSIZE = [("simplex", "barycentric(s)", 1_091_669),
+             ("simplex_boundary", "barycentric(s)", 545_834),
+             ("simplex_boundary", "barycentric_via_stellar(s, simplicial_signs(s))", 545_834)]
+
+
+@pytest.mark.parametrize("name,call,count", _OVERSIZE)
+def test_oversize_subdivision_is_refused_before_it_is_built(run_capped, name, call, count):
+    proc = run_capped("from cellcomplexes import fixtures\n"
+                      "from cellcomplexes.flags import simplicial_signs\n"
+                      "from cellcomplexes.subdivision import barycentric, barycentric_via_stellar\n"
+                      f"s = fixtures.fixture({name!r}, 7)\n"
+                      "try:\n"
+                      f"    {call}\n"
+                      "except ValueError as e:\n"
+                      "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"the barycentric subdivision has {count} cells, more than 100000\n"
+
+
+def test_subdivision_of_simplex6_counts_under_the_cap(monkeypatch):
+    s = fixtures.simplex(6)
+    subdivision._refuse_oversize(s)
+    monkeypatch.setattr(subdivision, "MAX_CELLS", 94_584)
+    with pytest.raises(ValueError, match="has 94585 cells, more than 94584"):
+        subdivision._refuse_oversize(s)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_oversize_count_is_the_size_of_the_subdivision(monkeypatch, name):
+    s = fixtures.fixture(name)
+    n = len(barycentric(s)[0])
+    monkeypatch.setattr(subdivision, "MAX_CELLS", n)
+    subdivision._refuse_oversize(s)
+    monkeypatch.setattr(subdivision, "MAX_CELLS", n - 1)
+    with pytest.raises(ValueError, match=f"has {n} cells"):
+        subdivision._refuse_oversize(s)
+
+
+def test_barycentric_names_a_chain_label_that_collides():
+    # the chain a < x is labelled C(x;a), which the complex gives a vertex
+    a, x, b = C("a"), C("x"), parse_cell_id("C(x;a)")
+    s = build_complex([(a, 0), (b, 0), (x, 1)], [(a, x), (b, x)])
+    with pytest.raises(CccError, match=re.escape("C(x;a)")):
+        barycentric(s)
+
+
+def test_stellar_names_a_cone_label_that_collides():
+    e, v, w = C("e"), C("v"), parse_cell_id("C(e;0)")
+    s = build_complex([(v, 0), (w, 0), (e, 1)], [(v, e), (w, e)])
+    with pytest.raises(CccError, match=re.escape("cone label C(e;0) collides")):
+        stellar(s, e, orient_all_cells(s))
+
+
+def test_chain_map_refuses_a_column_of_another_degree(torus9, torus9_signs):
+    cc = chain_complex(torus9, torus9_signs)
+    columns = [{i: 1} for i in range(len(torus9))]
+    edge = torus9._rank_range(1).start
+    columns[edge] = {0: 1}  # the first edge goes to a vertex
+    with pytest.raises(ValueError, match=re.escape(f"image of {torus9.cells[edge]} has cells")):
+        ChainMap(cc, cc, columns)
+
+
 def test_tower_builds_one_chain_complex_per_stage(torus9, torus9_signs, count_calls):
-    calls = count_calls((subdivision, "chain_complex"), (subdivision, "Ccc"))
+    calls = count_calls((subdivision, "chain_complex"), (subdivision, "_assemble"))
     tower = barycentric_via_stellar(torus9, torus9_signs)
     assert calls.count("chain_complex") == 1 + 2  # the source, then one per stage
-    assert calls.count("Ccc") == 2
+    assert calls.count("_assemble") == 2
     first, second = tower.stages
     assert second.step_map.source is first.step_map.target
     assert tower.phi_total.target is second.step_map.target
@@ -556,6 +618,12 @@ def test_compare_phi_bigphi_signs(torus9, torus9_signs):
     assert eps[0] == 1
     assert all(e in (1, -1) for e in eps)
     assert eps == [1, 1, -1]
+
+
+def test_compare_builds_the_barycentric_subdivision_once(torus9, torus9_signs, count_calls):
+    calls = count_calls((subdivision, "barycentric"))
+    assert compare_phi_bigphi(torus9, torus9_signs) == [1, 1, -1]
+    assert calls == ["barycentric"]  # inside big_phi, whose target it compares
 
 
 def test_compare_signs_on_square():
