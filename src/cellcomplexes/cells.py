@@ -164,7 +164,10 @@ def _check_name(name) -> None:
 
 def parse_cell_id(token: str) -> CellId:
     """Parse the serialized form of a cell label, in one pass that writes
-    its key.  Iterative, for any depth."""
+    its key.  Iterative, for any depth.  A plain name, the common token,
+    is read in one step; cones and malformed tokens take the full pass."""
+    if token and token != "0" and _BAD_NAME_CHARS.isdisjoint(token):
+        return tuple.__new__(CellId, (1, token))
     key = []
     seps = []  # the separator each open cone expects next: ';' or ')'
     pos = 0

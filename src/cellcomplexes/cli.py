@@ -31,7 +31,7 @@ def _read(path: str) -> Ccc:
     try:
         if path == "-":
             return fileformat.loads(sys.stdin.read())
-        return fileformat.loads(Path(path).read_text())
+        return fileformat.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise FormatError(str(e)) from None
 
@@ -40,7 +40,7 @@ def _write(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _cmd_example(args) -> int:
@@ -136,10 +136,10 @@ def _cmd_subdivide(args) -> int:
             manifest = ["stage rank cells file points"]
             for k, stage in enumerate(tower.stages):
                 name = f"stage{k:02d}.ccc"
-                (d / name).write_text(fileformat.dumps(stage.complex))
+                (d / name).write_text(fileformat.dumps(stage.complex), encoding="utf-8")
                 pts = ",".join(str(p) for p in stage.points)
                 manifest.append(f"{k} {stage.rank} {len(stage.complex)} {name} {pts}")
-            (d / "manifest.txt").write_text("\n".join(manifest) + "\n")
+            (d / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     _write(fileformat.dumps(out), args.output)
     return 0
 

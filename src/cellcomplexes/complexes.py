@@ -6,9 +6,10 @@ interval queries are cheap, and its faces and cofaces by cell index.
 Complexes are immutable once built; all operations are pure queries or
 return new complexes.  One core builds every complex from its cells as
 parallel lists, each naming the positions of the cells below it:
-``Ccc(ranks, relation)`` is its front end for labels, and the derived
-complexes (products, simplicial complexes, subcomplexes, duals and
-subdivisions) go through :func:`_assemble` by position.
+``Ccc(ranks, relation)`` is its front end for labels, and
+:func:`build_complex` (so every file) and the derived complexes (products,
+simplicial complexes, subcomplexes, duals and subdivisions) go through
+:func:`_assemble` by position.
 
 The four axioms a combinatorial cell complex must satisfy:
 
@@ -94,10 +95,10 @@ class Ccc:
                  "_face_ix", "_coface_ix", "_rank_masks", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
-        order = sorted([(r, c) for c, r in ranks.items()])  # canonical: _setup renumbers none
-        if order and order[0][0] < 0:
-            raise RankOrderError(f"cell {order[0][1]} has negative rank {order[0][0]}")
-        labels = [c for _, c in order]
+        labels, rank_of = list(ranks), list(ranks.values())  # _setup sorts them
+        if rank_of and min(rank_of) < 0:
+            r, c = min((r, c) for c, r in ranks.items() if r < 0)
+            raise RankOrderError(f"cell {c} has negative rank {r}")
         at = dict(zip(labels, range(len(labels))))
         below = [()] * len(labels)
         try:
@@ -105,7 +106,7 @@ class Ccc:
                 below[at[c]] = [at[d] for d in ds]
         except KeyError as e:
             raise UnknownCellError(f"the relation names the unknown cell {e.args[0]}") from None
-        self._setup(labels, [r for r, _ in order], below)
+        self._setup(labels, rank_of, below)
 
     def _setup(self, labels: list, ranks: list, below: list, signs=None):
         """The construction core: number the cells ``labels[p]`` of rank
@@ -466,7 +467,7 @@ class Ccc:
 
 # -- constructors --------------------------------------------------------
 
-MAX_CELLS = 100_000  # the most cells a fixture, product or subdivision may have
+MAX_CELLS = 100_000  # the most cells a fixture, product, subdivision or file may have
 
 
 def _assemble(labels: list, ranks: list, below: list, signs=None):
@@ -478,29 +479,33 @@ def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
     """Assemble a complex from (cell, rank) pairs and covering pairs.
 
     The order is the closure of the relation given, here ``covers``.  The
-    result is returned even if the axioms fail; run ``validate_axioms``
-    separately.
+    cells are numbered as they come, each cover is read by position, and
+    :func:`_assemble` sorts them once.  The result is returned even if the
+    axioms fail; run ``validate_axioms`` separately.
     """
-    ranks: dict[CellId, int] = {}
+    at: dict[CellId, int] = {}  # label -> position
+    labels, ranks = [], []
     for c, r in cell_ranks:
-        if c in ranks:
+        if c in at:
             raise DuplicateCellError(f"cell {c} declared twice")
         if r < 0:
             raise RankOrderError(f"cell {c} has negative rank {r}")
-        ranks[c] = int(r)
-    below: dict[CellId, list] = {c: [] for c in ranks}
+        at[c] = len(labels)
+        labels.append(c)
+        ranks.append(int(r))
+    below = [[] for _ in labels]
     for lo, hi in covers:
-        if lo not in ranks:
+        i, j = at.get(lo), at.get(hi)
+        if i is None:
             raise UnknownCellError(f"cover references unknown cell {lo}")
-        if hi not in ranks:
+        if j is None:
             raise UnknownCellError(f"cover references unknown cell {hi}")
-        if lo == hi:
+        if i == j:
             raise CoverCycleError(f"cover ({lo}, {hi}) is a cycle")
-        if ranks[lo] >= ranks[hi]:
-            raise RankOrderError(
-                f"cover ({lo}, {hi}) has rank {ranks[lo]} >= {ranks[hi]}")
-        below[hi].append(lo)
-    return Ccc(ranks, below)
+        if ranks[i] >= ranks[j]:
+            raise RankOrderError(f"cover ({lo}, {hi}) has rank {ranks[i]} >= {ranks[j]}")
+        below[j].append(i)
+    return _assemble(labels, ranks, below)[0]
 
 
 def product(x: Ccc, y: Ccc) -> Ccc:

@@ -4,7 +4,9 @@ Line 1 is the header ``ccc v1``.  Then one line per cell ``cell <id>
 <rank>`` and one line per covering pair ``cover <lower-id> <upper-id>``.
 ``#`` starts a comment, ids are whitespace-free tokens, cone ids serialize
 as ``C(<apex>;<base>)`` with base ``0`` for the empty cell.  Files are
-UTF-8, newline-terminated and order-insensitive.
+UTF-8 (the command line reads and writes them so whatever the locale),
+newline-terminated and order-insensitive, and hold at most ``MAX_CELLS``
+cells.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import IO
 
 from .cells import parse_cell_id
-from .complexes import Ccc, build_complex
+from .complexes import MAX_CELLS, Ccc, build_complex
 from .errors import CccError, FormatError
 
 HEADER = "ccc v1"
@@ -45,10 +47,13 @@ def _cover_indices(s: Ccc):
 
 
 def loads(text: str) -> Ccc:
-    """Read a complex.  Labels are interned: each distinct token is parsed
-    once, in one pass that writes its key, and every line naming it gets
-    the same ``CellId``, so the lookups that build the complex match on
-    identity before they compare keys."""
+    """Read a complex.  Each line is split once.  Labels are interned:
+    each distinct token is parsed once and every line naming it gets the
+    same ``CellId``, so the lookups that build the complex match on
+    identity before they compare keys.  :func:`build_complex` then numbers
+    the cells in file order and reads the covers by position.  A file of
+    more than ``MAX_CELLS`` cells is refused before it is built.  Every
+    error is a FormatError."""
     cell_ranks = []
     covers = []
     ids = {}  # token -> its parsed label
@@ -63,10 +68,9 @@ def loads(text: str) -> Ccc:
     if not lines or lines[0].split("#")[0].strip() != HEADER:
         raise FormatError(f"missing '{HEADER}' header")
     for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#")[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if parts[0] == "cell" and len(parts) == 3:
                 cell_ranks.append((cell_id(parts[1]), int(parts[2])))
@@ -74,10 +78,10 @@ def loads(text: str) -> Ccc:
                 covers.append((cell_id(parts[1]), cell_id(parts[2])))
             else:
                 raise FormatError(f"unrecognized line {ln}: {raw!r}")
-        except ValueError as e:
+        except (ValueError, CccError) as e:
             raise FormatError(f"line {ln}: {e}") from None
-        except CccError as e:
-            raise FormatError(f"line {ln}: {e}") from None
+    if len(cell_ranks) > MAX_CELLS:  # the bitsets of the order grow as the square
+        raise FormatError(f"the file has {len(cell_ranks)} cells, more than {MAX_CELLS}")
     for c, r in cell_ranks:  # a rank-r cell tops a chain of r + 1 cells
         if r >= len(cell_ranks):
             raise FormatError(f"cell {c} has rank {r} but only {len(cell_ranks)} cells")

@@ -27,11 +27,15 @@ kernel coordinates with a third Smith form over dense boundaries; the
 dense Smith normal form keeps each of its four transforms as a matrix of
 its own, written in a loop of its own by every elementary operation; the
 diamond and top-cell rules run over dicts keyed by labels and label
-pairs, as the library ran them before its signs moved to cell indices.
+pairs, as the library ran them before its signs moved to cell indices;
+files are read with every token through the full label parser, and their
+cells kept in label dicts, sorted and numbered before the core closes them,
+as the loader read them before it built by position.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -44,7 +48,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.chains import Chain, HomologyResult
 from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
-from cellcomplexes.errors import NotOrientableError
+from cellcomplexes.errors import (CccError, CoverCycleError, DuplicateCellError, FormatError,
+                                  NotOrientableError, RankOrderError, UnknownCellError)
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
 from cellcomplexes.snf import (SmithNormalForm, invariant_factors, kernel_basis, matmul,
                                smith_normal_form, solve_columns)
@@ -976,3 +981,132 @@ def _diamond_signs(s: Ccc, cells) -> tuple:
                 signs[(x, y)] = e[y]
         down[x] = _down(s, signs, x)
     return signs, None
+
+
+# -- the loader by label dicts --------------------------------------------------
+
+_TERM = re.compile(r"[^;)]*")
+_BAD_NAME_CHARS = set("();#") | set(" \t\r\n")
+
+
+def _check_name(name) -> None:
+    if (not isinstance(name, str) or not name or name == "0"
+            or not _BAD_NAME_CHARS.isdisjoint(name)):
+        raise FormatError(f"invalid cell name {name!r}")
+
+
+def full_pass_parse_cell_id(token: str) -> CellId:
+    """A label read by the full iterative pass for every token, plain
+    names included."""
+    key = []
+    seps = []  # the separator each open cone expects next: ';' or ')'
+    pos = 0
+    while True:
+        while token.startswith("C(", pos):
+            key.append(2)
+            seps.append(";")
+            pos += 2
+        end = _TERM.match(token, pos).end()
+        term, pos = token[pos:end], end
+        if not term:
+            raise FormatError(f"empty token in cell id {token!r}")
+        if term != "0":
+            _check_name(term)
+            key += (1, term)
+        elif not seps:
+            raise FormatError("the empty cell is not a standalone cell id")
+        elif seps[-1] == ";":
+            raise FormatError(f"cone apex may not be empty in {token!r}")
+        else:
+            key.append(0)
+        while seps and seps[-1] == ")":  # a base ended: close its cone
+            if not token.startswith(")", pos):
+                raise FormatError(f"expected ')' in cone id {token!r}")
+            seps.pop()
+            pos += 1
+        if not seps:
+            break
+        if not token.startswith(";", pos):
+            raise FormatError(f"expected ';' in cone id {token!r}")
+        seps[-1] = ")"
+        pos += 1
+    if pos != len(token):
+        raise FormatError(f"trailing characters in cell id {token!r}")
+    return tuple.__new__(CellId, key)
+
+
+def label_dict_ccc(ranks: Mapping, relation: Mapping) -> Ccc:
+    """A complex from label dicts: the cells sorted by (rank, label) and
+    numbered through a label -> index dict before the core closes them."""
+    order = sorted([(r, c) for c, r in ranks.items()])
+    if order and order[0][0] < 0:
+        raise RankOrderError(f"cell {order[0][1]} has negative rank {order[0][0]}")
+    labels = [c for _, c in order]
+    at = dict(zip(labels, range(len(labels))))
+    below = [()] * len(labels)
+    try:
+        for c, ds in relation.items():
+            below[at[c]] = [at[d] for d in ds]
+    except KeyError as e:
+        raise UnknownCellError(f"the relation names the unknown cell {e.args[0]}") from None
+    return Ccc.__new__(Ccc)._setup(labels, [r for r, _ in order], below)[0]
+
+
+def label_dict_build_complex(cell_ranks, covers) -> Ccc:
+    """A complex from (cell, rank) and covering pairs kept in label dicts."""
+    ranks: dict = {}
+    for c, r in cell_ranks:
+        if c in ranks:
+            raise DuplicateCellError(f"cell {c} declared twice")
+        if r < 0:
+            raise RankOrderError(f"cell {c} has negative rank {r}")
+        ranks[c] = int(r)
+    below: dict = {c: [] for c in ranks}
+    for lo, hi in covers:
+        if lo not in ranks:
+            raise UnknownCellError(f"cover references unknown cell {lo}")
+        if hi not in ranks:
+            raise UnknownCellError(f"cover references unknown cell {hi}")
+        if lo == hi:
+            raise CoverCycleError(f"cover ({lo}, {hi}) is a cycle")
+        if ranks[lo] >= ranks[hi]:
+            raise RankOrderError(
+                f"cover ({lo}, {hi}) has rank {ranks[lo]} >= {ranks[hi]}")
+        below[hi].append(lo)
+    return label_dict_ccc(ranks, below)
+
+
+def label_dict_loads(text: str) -> Ccc:
+    """A ``ccc v1`` text read line by line with the full-pass parser and
+    built from label dicts, with the file errors of ``fileformat.loads``."""
+    cell_ranks, covers, ids = [], [], {}
+
+    def cell_id(token):
+        if token not in ids:
+            ids[token] = full_pass_parse_cell_id(token)
+        return ids[token]
+
+    lines = text.splitlines()
+    if not lines or lines[0].split("#")[0].strip() != "ccc v1":
+        raise FormatError("missing 'ccc v1' header")
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "cell" and len(parts) == 3:
+                cell_ranks.append((cell_id(parts[1]), int(parts[2])))
+            elif parts[0] == "cover" and len(parts) == 3:
+                covers.append((cell_id(parts[1]), cell_id(parts[2])))
+            else:
+                raise FormatError(f"unrecognized line {ln}: {raw!r}")
+        except (ValueError, CccError) as e:
+            raise FormatError(f"line {ln}: {e}") from None
+    for c, r in cell_ranks:
+        if r >= len(cell_ranks):
+            raise FormatError(f"cell {c} has rank {r} but only {len(cell_ranks)} cells")
+    try:
+        return label_dict_build_complex(cell_ranks, covers)
+    except CccError as e:
+        raise FormatError(str(e)) from None

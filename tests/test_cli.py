@@ -120,6 +120,50 @@ def test_oversize_subdivisions_exit_2_before_they_are_built(tmp_path, run_capped
                            "more than 100000\n")
 
 
+def test_oversize_file_exits_2_before_it_is_built(tmp_path, run_capped):
+    p = tmp_path / "big.ccc"
+    p.write_text("ccc v1\n" + "".join(f"cell v{k} 0\n" for k in range(120_000)))
+    proc = run_capped("import sys\n"
+                      "from cellcomplexes.cli import main\n"
+                      f"sys.exit(main(['validate', {str(p)!r}]))\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the file has 120000 cells, more than 100000\n"
+
+
+def run_module(*args, flags=(), **env):
+    """``python <flags> -m cellcomplexes.cli <args>`` in a fresh
+    interpreter, with ``env`` added to its environment."""
+    package_root = str(Path(cellcomplexes.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "cellcomplexes.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path})
+
+
+def test_named_files_are_utf8_whatever_the_locale(tmp_path):
+    p, out = tmp_path / "u.ccc", tmp_path / "d.ccc"
+    p.write_bytes("ccc v1\ncell é 0\n".encode("utf-8"))
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = run_module("info", str(p), **c_locale)
+    assert proc.returncode == 0, proc.stderr
+    assert "cells: 1" in proc.stdout
+    assert run_module("dual", str(p), "-o", str(out), **c_locale).returncode == 0
+    assert out.read_bytes() == p.read_bytes()
+
+
+def test_named_files_are_opened_with_an_explicit_encoding(tmp_path):
+    strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    f, g, tower = tmp_path / "f.ccc", tmp_path / "g.ccc", tmp_path / "tower"
+    for args in (["example", "torus", "3", "-o", str(f)],
+                 ["subdivide", str(f), "--bary-via-stellar", "--tower-dir", str(tower),
+                  "-o", str(g)],
+                 ["info", str(g)]):
+        proc = run_module(*args, flags=strict)
+        assert proc.returncode == 0, proc.stderr
+    assert fileformat.loads(g.read_text(encoding="utf-8")) == barycentric(fixtures.torus(3))[0]
+    assert (tower / "manifest.txt").is_file()
+
+
 def test_example_simplex_boundary_round_trips():
     code, text = run_cli(["example", "simplex_boundary", "4"])
     assert code == 0

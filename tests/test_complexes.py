@@ -1,10 +1,11 @@
+import random
 import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pairwise_meet_violations
+from oracles import label_dict_ccc, pairwise_meet_violations
 
 from cellcomplexes import fixtures
 from cellcomplexes.cells import CellId
@@ -74,6 +75,27 @@ def test_relation_keyed_by_an_unknown_cell_is_refused():
 def test_negative_rank_is_refused():
     with pytest.raises(RankOrderError, match="cell a has negative rank -1"):
         Ccc({C("a"): -1}, {})
+
+
+@pytest.mark.parametrize("ranks", [{"b": -1, "a": -1, "d": 0},
+                                   {"d": 0, "c": -1, "e": -2, "a": -2}])
+def test_negative_rank_names_the_least_rank_and_label(ranks):
+    ranks = {C(c): r for c, r in ranks.items()}
+    with pytest.raises(RankOrderError) as want:
+        label_dict_ccc(ranks, {})
+    with pytest.raises(RankOrderError) as got:
+        Ccc(ranks, {})
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_front_end_builds_as_the_label_dict_front_end(name):
+    s = fixtures.fixture(name)
+    cells = list(s.cells)
+    random.Random(name).shuffle(cells)
+    ranks, relation = {c: s.rank(c) for c in cells}, {c: s.covers(c)[::-1] for c in cells}
+    t, u = Ccc(ranks, relation), label_dict_ccc(ranks, relation)
+    assert t == u and t._face_ix == u._face_ix and t._coface_ix == u._coface_ix
 
 
 def test_order_is_transitive_closure_of_covers(torus9):

@@ -1,8 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from cellcomplexes import fileformat, fixtures
-from cellcomplexes.cells import CellId
+from cellcomplexes.cells import CellId, parse_cell_id
 from cellcomplexes.complexes import build_complex
 from cellcomplexes.errors import FormatError
 from cellcomplexes.fileformat import covering_pairs, dumps, loads
@@ -91,20 +95,44 @@ def test_a_bad_token_fails_at_its_first_line(text, error):
     assert str(info.value) == error
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "not a header\ncell a 0\n",
-    "ccc v1\ncell a\n",
-    "ccc v1\ncell a zero\n",
-    "ccc v1\ncells a 0\n",
-    "ccc v1\ncell a 0\ncover a b\n",
-    "ccc v1\ncell a 0\ncell a 0\n",
-    "ccc v1\ncell b 30000000\n",
-])
-def test_parse_errors(bad):
-    with pytest.raises(FormatError):
-        loads(bad)
+_PARSE_ERRORS = [
+    ("", "missing 'ccc v1' header"),
+    ("not a header\ncell a 0\n", "missing 'ccc v1' header"),
+    ("ccc v1\ncell a\n", "line 2: unrecognized line 2: 'cell a'"),
+    ("ccc v1\ncell a zero\n", "line 2: invalid literal for int() with base 10: 'zero'"),
+    ("ccc v1\ncells a 0\n", "line 2: unrecognized line 2: 'cells a 0'"),
+    ("ccc v1\ncell a 0\ncover a b\n", "cover references unknown cell b"),
+    ("ccc v1\ncell a 0\ncell a 0\n", "cell a declared twice"),
+    ("ccc v1\ncell b 30000000\n", "cell b has rank 30000000 but only 1 cells"),
+    # a parse error anywhere wins over a duplicate cell before it
+    ("ccc v1\ncell a 0\ncell a 0\ncell C(a 1\n", "line 4: expected ';' in cone id 'C(a'"),
+    # the rank-versus-count check comes before the errors of building
+    ("ccc v1\ncell a 0\ncell a 5\n", "cell a has rank 5 but only 2 cells"),
+    ("ccc v1\ncell a 0\ncover a z\ncell c 9\n", "cell c has rank 9 but only 2 cells"),
+    # building reports the first bad cell line, then the first bad cover line
+    ("ccc v1\ncover b a\ncell a 0\ncell b -1\ncell a 1\n", "cell b has negative rank -1"),
+    ("ccc v1\ncell a 1\ncell b 0\ncover a b\ncover a a\n", "cover (a, b) has rank 1 >= 0"),
+    ("ccc v1\ncell a 0\ncover a a\ncover a z\n", "cover (a, a) is a cycle"),
+]
 
+
+@pytest.mark.parametrize("bad, error", [pytest.param(*case, id=case[0]) for case in _PARSE_ERRORS])
+def test_parse_errors(bad, error):
+    with pytest.raises(FormatError) as info:
+        loads(bad)
+    assert str(info.value) == error
+
+
+def test_oversize_file_is_refused_before_it_is_built(run_capped):
+    proc = run_capped("from cellcomplexes.errors import FormatError\n"
+                      "from cellcomplexes.fileformat import loads\n"
+                      "text = 'ccc v1\\n' + ''.join(f'cell v{k} 0\\n' for k in range(120_000))\n"
+                      "try:\n"
+                      "    loads(text)\n"
+                      "except FormatError as e:\n"
+                      "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the file has 120000 cells, more than 100000\n"
 
 
 # cell ids: names and cones over them, the base 0 being the empty cell
@@ -159,3 +187,53 @@ def test_deep_labels_load_and_dump_back(side):
     assert dumps(s) == text
     label = s.cells[1]
     assert label.count(2) == depth and len(s) == 3
+
+
+def _same_outcome(want, got, *args):
+    """``want`` and ``got`` called on ``args`` raise the same exception
+    type and message, or return equal results; the results are returned."""
+    try:
+        expected = want(*args)
+    except Exception as e:
+        with pytest.raises(type(e)) as info:
+            got(*args)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        return None, None
+    return expected, got(*args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tokens)
+@example("0")
+@example("a;b")
+@example("a)")
+@example("C(a")
+@example("C(a;0)")
+@example("v\x0bw")
+@example("a b")
+def test_parse_cell_id_matches_the_full_pass(token):
+    expected, label = _same_outcome(oracles.full_pass_parse_cell_id, parse_cell_id, token)
+    assert label == expected and type(label) is type(expected)
+
+
+def _same_complex(s, t):
+    assert s == t and dumps(s) == dumps(t)
+    assert s._face_ix == t._face_ix and s._coface_ix == t._coface_ix
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.one_of(st.lists(_lines, max_size=12), _complex_lines()))
+def test_loads_matches_the_label_dict_loader(header, lines):
+    text = "\n".join(["ccc v1"] * header + lines) + "\n"
+    expected, s = _same_outcome(oracles.label_dict_loads, loads, text)
+    if expected is not None:
+        _same_complex(s, expected)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_shuffled_files_load_as_the_label_dict_loader_does(name):
+    lines = dumps(fixtures.fixture(name)).splitlines()
+    body = lines[1:]
+    random.Random(name).shuffle(body)
+    text = "\n".join(lines[:1] + body) + "\n"
+    _same_complex(loads(text), oracles.label_dict_loads(text))
