@@ -364,8 +364,10 @@ class SignTable:
     built when it is read and iterated in canonical order (by cell, then
     by face); a write through it changes the table.  ``vertex_signs`` is a
     dict keyed by label.  A sign other than +1 or -1, or a pair that is
-    not an incidence of the complex, raises ValueError naming the pair;
-    a missing pair raises MissingSignError where a sign is read.
+    not an incidence of the complex, raises ValueError naming the pair,
+    and so does a vertex sign other than +1 or -1, or one keyed by a cell
+    that is not a vertex of the complex, naming the cell; a missing pair
+    raises MissingSignError where a sign is read.
     """
 
     __slots__ = ("complex", "_rows", "vertex_signs", "_flag_counts")
@@ -376,7 +378,14 @@ class SignTable:
         for pair, v in signs.items():
             i, k = _locate(complex, pair)
             rows[i][k] = _unit(pair, v)
-        self._fill(complex, list(map(tuple, rows)), vertex_signs)
+        units = {}
+        for v, e in (vertex_signs or {}).items():
+            if v not in complex or complex.rank(v):
+                raise ValueError(f"{v} is not a vertex of the complex")
+            if e != 1 and e != -1:
+                raise ValueError(f"the sign of the vertex {v} is {e!r}, not +1 or -1")
+            units[v] = int(e)
+        self._fill(complex, list(map(tuple, rows)), units)
 
     @classmethod
     def _of(cls, complex: Ccc, rows: list, vertex_signs: Mapping | None = None):

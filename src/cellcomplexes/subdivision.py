@@ -45,9 +45,12 @@ from .flags import _derive_signs, flags_of, permutation_orientation  # noqa: F40
 
 @dataclass(frozen=True)
 class StellarResult:
+    """One stellar subdivision at ``origin_cell``.  ``new_cells`` maps the
+    base of each cone, or EMPTY for the new vertex, to the cone's label: the
+    new vertex first, then the bases in the order of ``origin_complex.cells``."""
     complex: Ccc
     old_cells: frozenset
-    new_cells: dict       # base cell in the cone target (or EMPTY) -> cone id
+    new_cells: dict
     origin_complex: Ccc
     origin_cell: CellId
 
@@ -113,52 +116,53 @@ def _subdivide(s: Ccc, points, signs: SignTable):
     """Stellar subdivision at ``points``, whose up-sets must be pairwise
     disjoint, so that the order of the points is immaterial.
 
-    Returns the complex, its sign table, each point's cones (base cell, or
-    EMPTY for the new vertex, -> cone id) and the point above each removed
-    cell.
+    Works in cell indices of ``s``: each point's up-set and star are read
+    once off the order.  Returns the complex, its sign table, the cones
+    and ``over``, the index of the point above each cell of ``s`` (-1 for
+    a cell that stays).  The cones map ``(point index, base index)`` to
+    the cone label, with base index -1 for the new vertex; each point
+    lists its new vertex first, then its bases in ``s.cells`` order.
     """
-    above, cones = {}, {}
+    cells, ranks_of, faces = s.cells, s._ranks, s._face_ix
+    over, cones = [-1] * len(s), {}
     for x in points:
-        if x not in s:
-            raise UnknownCellError(f"cell {x} is not in the complex")
-        if s.rank(x) == 0:
+        p = s._i(x)
+        if not ranks_of[p]:
             raise ValueError(f"stellar subdivision at the vertex {x} is not supported")
-        for z in s.up_set(x):
-            if above.setdefault(z, x) != x:
-                raise CccError(f"up-sets of {above[z]} and {x} intersect")
-        cone = {y: CellId.cone(x, y) for y in s.open_star(x)}  # closed: the bases
-        cone[EMPTY] = CellId.cone(x, EMPTY)
-        for c in cone.values():
+        star = 0
+        for z in _bits(s._above[p]):
+            if over[z] not in (-1, p):
+                raise CccError(f"up-sets of {cells[over[z]]} and {x} intersect")
+            over[z] = p
+            star |= s._below[z]
+        for b in (-1, *_bits(star & ~s._above[p])):  # the new vertex, then the bases
+            c = cones[p, b] = nest((x,), cells[b] if b >= 0 else EMPTY)
             if c in s:
                 raise CccError(f"cone label {c} collides with an existing cell")
-        cones[x] = cone
 
-    cells, faces = s.cells, s._face_ix
     given = signs._rows_on(s)
-    old = [i for i, z in enumerate(cells) if z not in above]
+    old = [i for i, p in enumerate(over) if p < 0]
     _require_signs(s, given, old)
-    # positions: the old cells, then each point's apex and its cones.  An
-    # old cell names its faces, which its signs follow, then any cover that
-    # is not a face (only where the axioms fail): the order closes covers
+    # positions: the old cells, then the cones.  An old cell names its
+    # faces, which its signs follow, then any cover that is not a face
+    # (only where the axioms fail): the order closes covers
     at, named = [-1] * len(s), [()] * len(s)
-    for p, i in enumerate(old):
-        at[i], cv = p, s._covers(i)
+    for k, i in enumerate(old):
+        at[i], cv = k, s._covers(i)
         named[i] = faces[i] if cv == faces[i] else faces[i] + cv
-    labels, ranks = [cells[i] for i in old], [s._ranks[i] for i in old]
-    below = [[at[j] for j in named[i]] for i in old]
-    rows = [given[i] for i in old]
-    for cone in cones.values():
-        apex = len(labels)
-        base = [s._i(y) for y in cone if y is not EMPTY]
-        pos = dict(zip(base, range(apex + 1, apex + 1 + len(base))))
-        labels += [cone[EMPTY], *(cone[cells[i]] for i in base)]
-        ranks += [0, *(s._ranks[i] + 1 for i in base)]
-        below += [[], *([at[i], apex, *map(pos.__getitem__, named[i])] for i in base)]
-        # the cone rule; the apex is a face only of the cone over a vertex
-        rows += [(), *((1, -signs.vertex_signs.get(cells[i], 0), *(-v for v in given[i]))
-                       for i in base)]
+    pos = dict(zip(cones, itertools.count(len(old))))
+    labels = [cells[i] for i in old] + list(cones.values())
+    ranks = [ranks_of[i] for i in old] + [ranks_of[b] + 1 if b >= 0 else 0 for _, b in cones]
+    below, rows = [[at[j] for j in named[i]] for i in old], [given[i] for i in old]
+    for p, b in cones:
+        if b < 0:  # the new vertex
+            below.append(())
+            rows.append(())
+        else:  # the cone rule; the apex is a face only of the cone over a vertex
+            below.append([at[b], pos[p, -1], *(pos[p, j] for j in named[b])])
+            rows.append((1, -signs.vertex_signs.get(cells[b], 0), *(-v for v in given[b])))
     out, rows = _assemble(labels, ranks, below, rows)
-    return out, SignTable._of(out, rows, signs.vertex_signs), cones, above
+    return out, SignTable._of(out, rows, signs.vertex_signs), cones, over
 
 
 def stellar(s: Ccc, x: CellId, signs: SignTable):
@@ -168,11 +172,11 @@ def stellar(s: Ccc, x: CellId, signs: SignTable):
     complex.  Old cells keep their signs and the cones get theirs by the
     cone rule, so every cone is oriented like its base.
     """
-    out, new_signs, cones, above = _subdivide(s, [x], signs)
+    out, new_signs, cones, over = _subdivide(s, [x], signs)
     return StellarResult(
         complex=out,
-        old_cells=frozenset(s.cells) - above.keys(),
-        new_cells=cones[x],
+        old_cells=frozenset(c for c, p in zip(s.cells, over) if p < 0),
+        new_cells={s.cells[b] if b >= 0 else EMPTY: c for (_, b), c in cones.items()},
         origin_complex=s,
         origin_cell=x,
     ), new_signs
@@ -184,11 +188,9 @@ def stellar_sequence(s: Ccc, points: Iterable[CellId], signs: SignTable):
     When the up-sets of the points are pairwise disjoint the result does
     not depend on the order.
     """
-    cur, cur_signs = s, signs
     for x in points:
-        res, cur_signs = stellar(cur, x, cur_signs)
-        cur = res.complex
-    return cur, cur_signs
+        s, signs = _subdivide(s, [x], signs)[:2]
+    return s, signs
 
 
 def phi(s: Ccc, x: CellId, signs: SignTable) -> ChainMap:
@@ -201,16 +203,12 @@ def _stellar_map(src: ChainComplex, points) -> ChainMap:
     """:func:`phi` at every one of ``points`` (pairwise disjoint up-sets) out
     of an existing chain complex; the target is the chain complex of the
     subdivision."""
-    s, signs = src.complex, src.signs
-    out, new_signs, cones, above = _subdivide(s, points, signs)
-    tgt = chain_complex(out, new_signs)
-    at, cells = out._index, s.cells
-    columns = []
-    for w, col in zip(cells, src.columns):
-        x = above.get(w)  # identity off the up-sets, cone expansion on them
-        columns.append({at[w]: 1} if x is None else {at[cones[x][cells[y]]]: v
-                       for y, v in col.items() if cells[y] not in above})
-    return ChainMap(src, tgt, columns)
+    out, new_signs, cones, over = _subdivide(src.complex, points, src.signs)
+    at, cells = out._index, src.complex.cells
+    columns = [{at[cells[w]]: 1} if p < 0  # identity off the up-sets, cone expansion on them
+               else {at[cones[p, y]]: v for y, v in col.items() if over[y] < 0}
+               for w, (p, col) in enumerate(zip(over, src.columns))]
+    return ChainMap(src, chain_complex(out, new_signs), columns)
 
 
 # -- barycentric subdivision ------------------------------------------------
@@ -339,12 +337,17 @@ class TowerStage:
 
 @dataclass
 class BaryTower:
+    """The stellar tower over ``source``.  ``iso`` maps each final cell to
+    the ascending chain of ``source`` it stands for, decoded when first read."""
     source: Ccc
     stages: list
     final: Ccc
     final_signs: SignTable
     phi_total: ChainMap
-    iso: dict  # final cell -> ascending chain in the source
+
+    @cached_property
+    def iso(self) -> dict:
+        return {c: chain_of_cell(self.source, c) for c in self.final.cells}
 
 
 def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
@@ -369,9 +372,8 @@ def barycentric_via_stellar(s: Ccc, signs: SignTable) -> BaryTower:
         stages.append(TowerStage(rank=r, points=points, complex=cc.complex,
                                  signs=cc.signs, step_map=step))
         total = total.then(step)
-    iso = {c: chain_of_cell(s, c) for c in cc.complex.cells}
     return BaryTower(source=s, stages=stages, final=cc.complex,
-                     final_signs=cc.signs, phi_total=total, iso=iso)
+                     final_signs=cc.signs, phi_total=total)
 
 
 def compare_phi_bigphi(s: Ccc, signs: SignTable):

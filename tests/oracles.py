@@ -1100,7 +1100,7 @@ def label_dict_loads(text: str) -> Ccc:
             elif parts[0] == "cover" and len(parts) == 3:
                 covers.append((cell_id(parts[1]), cell_id(parts[2])))
             else:
-                raise FormatError(f"unrecognized line {ln}: {raw!r}")
+                raise FormatError(f"unrecognized line {raw!r}")
         except (ValueError, CccError) as e:
             raise FormatError(f"line {ln}: {e}") from None
     for c, r in cell_ranks:

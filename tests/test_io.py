@@ -98,9 +98,9 @@ def test_a_bad_token_fails_at_its_first_line(text, error):
 _PARSE_ERRORS = [
     ("", "missing 'ccc v1' header"),
     ("not a header\ncell a 0\n", "missing 'ccc v1' header"),
-    ("ccc v1\ncell a\n", "line 2: unrecognized line 2: 'cell a'"),
+    ("ccc v1\ncell a\n", "line 2: unrecognized line 'cell a'"),
     ("ccc v1\ncell a zero\n", "line 2: invalid literal for int() with base 10: 'zero'"),
-    ("ccc v1\ncells a 0\n", "line 2: unrecognized line 2: 'cells a 0'"),
+    ("ccc v1\ncells a 0\n", "line 2: unrecognized line 'cells a 0'"),
     ("ccc v1\ncell a 0\ncover a b\n", "cover references unknown cell b"),
     ("ccc v1\ncell a 0\ncell a 0\n", "cell a declared twice"),
     ("ccc v1\ncell b 30000000\n", "cell b has rank 30000000 but only 1 cells"),

@@ -83,6 +83,30 @@ def test_a_pair_that_is_not_an_incidence_is_rejected(torus3):
     assert len(table.signs) == 72
 
 
+@pytest.mark.parametrize("bad", [0, 5, -3, 0.5])
+def test_a_vertex_sign_that_is_not_a_unit_is_rejected(torus3, bad):
+    s, table = torus3
+    v = s.cells_of_rank(0)[0]
+    with pytest.raises(ValueError, match=re.escape(f"the sign of the vertex {v} is {bad!r}")):
+        SignTable(s, table.signs, {v: bad})
+
+
+@pytest.mark.parametrize("rank", [1, 2, None])  # an edge, a square, no cell
+def test_a_vertex_sign_on_what_is_not_a_vertex_is_rejected(torus3, rank):
+    s, table = torus3
+    key = C("zz") if rank is None else s.cells_of_rank(rank)[0]
+    with pytest.raises(ValueError, match=re.escape(f"{key} is not a vertex of the complex")):
+        SignTable(s, table.signs, {key: -1})
+
+
+def test_a_vertex_sign_is_stored_as_an_int(torus3):
+    s, table = torus3
+    v, w = s.cells_of_rank(0)[:2]
+    kept = SignTable(s, table.signs, {v: 1.0, w: -1.0})
+    assert kept.vertex_signs == {**table.vertex_signs, w: -1}
+    assert {type(e) for e in kept.vertex_signs.values()} == {int}
+
+
 def test_a_single_label_is_not_a_pair():
     # a name label is the two-item tuple (1, name), yet it names no pair
     s = fixtures.torus9()

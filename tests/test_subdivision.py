@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,9 @@ from cellcomplexes import fixtures, subdivision
 from cellcomplexes.cells import CellId, EMPTY, nest, parse_cell_id
 from cellcomplexes.chains import Chain, chain_complex, homology, homology_of, is_acyclic
 from cellcomplexes.complexes import Ccc, build_complex, euler_characteristic
-from cellcomplexes.errors import CccError, UnknownCellError
+from cellcomplexes.errors import CccError, MissingSignError, UnknownCellError
 from cellcomplexes.fileformat import dumps
-from cellcomplexes.flags import flag_graph, orient_all_cells
+from cellcomplexes.flags import SignTable, flag_graph, orient_all_cells
 from cellcomplexes.subdivision import (
     ChainMap,
     barycentric,
@@ -78,6 +82,18 @@ def test_stellar_rejects_vertices_and_unknowns(torus9, torus9_signs):
         stellar(torus9, C("v00"), torus9_signs)
     with pytest.raises(UnknownCellError):
         stellar(torus9, C("zz"), torus9_signs)
+
+
+@pytest.mark.parametrize("step", [stellar, phi])
+def test_stellar_steps_name_what_they_refuse(torus9, torus9_signs, step):
+    with pytest.raises(ValueError, match=re.escape("at the vertex v00 is not supported")):
+        step(torus9, C("v00"), torus9_signs)
+    with pytest.raises(UnknownCellError, match=re.escape("cell zz is not in the complex")):
+        step(torus9, C("zz"), torus9_signs)
+    pair = (C("f22"), torus9.faces(C("f22"))[0])  # a square that h00 leaves as it is
+    gappy = SignTable(torus9, {k: v for k, v in torus9_signs.signs.items() if k != pair})
+    with pytest.raises(MissingSignError, match=re.escape(f"no sign for the pair {pair}")):
+        step(torus9, C("h00"), gappy)
 
 
 def test_cone_face_rule(torus9, torus9_signs):
@@ -489,6 +505,17 @@ def test_tower_torus(torus9, torus9_signs):
     assert tower.iso[deep] == (C("v00"), C("h00"), C("f00"))
 
 
+def test_tower_reads_the_order_by_index_and_decodes_iso_when_read(torus9, torus9_signs,
+                                                                   count_calls):
+    calls = count_calls((Ccc, "closure"), (Ccc, "up_set"), (Ccc, "open_star"),
+                        (CellId, "cone"), (subdivision, "chain_of_cell"))
+    tower = barycentric_via_stellar(torus9, torus9_signs)
+    assert calls == []
+    assert len(tower.iso) == len(tower.final)
+    assert calls == ["chain_of_cell"] * len(tower.final)
+    assert tower.iso is tower.iso
+
+
 _OVERSIZE = [("simplex", "barycentric(s)", 1_091_669),
              ("simplex_boundary", "barycentric(s)", 545_834),
              ("simplex_boundary", "barycentric_via_stellar(s, simplicial_signs(s))", 545_834)]
@@ -540,6 +567,47 @@ def test_stellar_names_a_cone_label_that_collides():
     s = build_complex([(v, 0), (w, 0), (e, 1)], [(v, e), (w, e)])
     with pytest.raises(CccError, match=re.escape("cone label C(e;0) collides")):
         stellar(s, e, orient_all_cells(s))
+
+
+# lists the cones of torus9 at h00, then makes their labels over v01, e00
+# and h10 collide and subdivides there with stellar and with `ccc subdivide`
+_CONES_UNDER_A_HASH_SEED = """
+import sys
+from cellcomplexes import fixtures
+from cellcomplexes.cells import CellId, parse_cell_id
+from cellcomplexes.cli import main
+from cellcomplexes.complexes import build_complex
+from cellcomplexes.errors import CccError
+from cellcomplexes.fileformat import covering_pairs, dumps
+from cellcomplexes.flags import orient_all_cells
+from cellcomplexes.subdivision import stellar
+
+s, h00 = fixtures.torus9(), CellId.of("h00")
+print(*stellar(s, h00, orient_all_cells(s))[0].new_cells)
+taken = [(parse_cell_id(f"C(h00;{b})"), 0) for b in ("v01", "e00", "h10")]
+t = build_complex([(c, s.rank(c)) for c in s.cells] + taken, covering_pairs(s))
+try:
+    stellar(t, h00, orient_all_cells(t))
+except CccError as e:
+    print(e)
+with open(sys.argv[1], "w", encoding="utf-8") as f:
+    f.write(dumps(t))
+sys.exit(main(["subdivide", sys.argv[1], "--at", "h00"]))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_cones_come_in_cell_order_under_any_hash_seed(torus9, tmp_path, seed):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = [sys.executable, "-c", _CONES_UNDER_A_HASH_SEED, str(tmp_path / "t.ccc")]
+    proc = subprocess.run(script, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+    base = torus9.open_star(C("h00"))
+    cones = " ".join(["0", *(str(c) for c in torus9.cells if c in base)])
+    collides = "cone label C(h00;v01) collides with an existing cell"
+    assert proc.stdout.splitlines() == [cones, collides]
+    assert proc.returncode == 1 and proc.stderr == f"error: {collides}\n"
 
 
 def test_chain_map_refuses_a_column_of_another_degree(torus9, torus9_signs):
