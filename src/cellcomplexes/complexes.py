@@ -92,7 +92,7 @@ class Ccc:
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
-                 "_face_ix", "_coface_ix", "_rank_masks", "_dim")
+                 "_face_ix", "_coface_ix", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
         labels, rank_of = list(ranks), list(ranks.values())  # _setup sorts them
@@ -165,7 +165,6 @@ class Ccc:
         self._above = above
         self._face_ix = tuple(face_ix)
         self._coface_ix = tuple(map(tuple, cofaces))
-        self._rank_masks = rank_masks
         self._dim = max(self._ranks) if cells else -1
         zero = repeat(0)
         return self, None if signs is None else [
@@ -198,7 +197,7 @@ class Ccc:
     __hash__ = None
 
     def __repr__(self):
-        counts = ",".join(str(m.bit_count()) for _, m in sorted(self._rank_masks.items()))
+        counts = ",".join(str(len(self._rank_range(r))) for r in dict.fromkeys(self._ranks))
         return f"<Ccc {len(self)} cells ({counts})>"
 
     def rank(self, x: CellId) -> int:
@@ -290,11 +289,20 @@ class Ccc:
 
     def star(self, x: CellId) -> "Ccc":
         """The closed subcomplex spanned by every cell comparable above ``x``."""
-        return self.subcomplex(self.closure(self.up_set(x)))
+        up, rest = self._star(self._i(x))
+        return self.subcomplex(self._labels(up + rest))
 
     def open_star(self, x: CellId) -> set:
         """Cells of the star not above ``x``; the base the subdivision cones over."""
-        return self.closure(self.up_set(x)) - self.up_set(x)
+        return set(self._labels(self._star(self._i(x))[1]))
+
+    def _star(self, i: int) -> tuple:
+        """The up-set of the cell at index ``i`` and the rest of its star, the
+        cells below the up-set but not in it, as ascending index tuples."""
+        up, star = self._above[i], 0
+        for z in _bits(up):
+            star |= self._below[z]
+        return tuple(_bits(up)), tuple(_bits(star & ~up))
 
     def subcomplex(self, cells: Iterable[CellId]) -> "Ccc":
         """The induced complex on a down-closed set of cells."""
@@ -366,15 +374,12 @@ class Ccc:
         below, above = self._below, self._above
         n = len(cells)
         out = []
+        # the cells of each rank present form one index range, so one mask
+        spans = {r: self._rank_range(r) for r in dict.fromkeys(ranks)}
+        of_rank = {r: (1 << span.stop) - (1 << span.start) for r, span in spans.items()}
 
-        rank_ge = {}  # rank r -> mask of cells with rank >= r
-        acc = 0
-        for r in sorted(self._rank_masks, reverse=True):
-            acc |= self._rank_masks[r]
-            rank_ge[r] = acc
-
-        for i in range(n):
-            bad = below[i] & ~(1 << i) & rank_ge.get(ranks[i], 0)
+        for i in range(n):  # -(1 << k) masks the cells from index k on
+            bad = below[i] & ~(1 << i) & -(1 << spans[ranks[i]].start)
             for j in _bits(bad):
                 out.append(AxiomViolation(
                     "1", (cells[j], cells[i]),
@@ -416,7 +421,7 @@ class Ccc:
 
         for i in range(n):
             for j in _bits(below[i] & ~(1 << i)):
-                step = above[j] & below[i] & self._rank_masks.get(ranks[j] + 1, 0)
+                step = above[j] & below[i] & of_rank.get(ranks[j] + 1, 0)
                 if not step:
                     out.append(AxiomViolation(
                         "2b", (cells[j], cells[i]),
@@ -426,7 +431,7 @@ class Ccc:
         for i in range(n):
             if ranks[i] == 0:
                 continue
-            fm = below[i] & self._rank_masks.get(ranks[i] - 1, 0)
+            fm = below[i] & of_rank.get(ranks[i] - 1, 0)
             if not fm:
                 out.append(AxiomViolation(
                     "3", (cells[i],), f"{cells[i]} has rank {ranks[i]} but no faces"))
@@ -444,8 +449,8 @@ class Ccc:
             r = ranks[i]
             if r < 2:
                 continue
-            for j in _bits(below[i] & self._rank_masks.get(r - 2, 0)):
-                between = above[j] & below[i] & self._rank_masks.get(r - 1, 0)
+            for j in _bits(below[i] & of_rank.get(r - 2, 0)):
+                between = above[j] & below[i] & of_rank.get(r - 1, 0)
                 k = between.bit_count()
                 if k != 2:
                     out.append(AxiomViolation(
@@ -463,6 +468,27 @@ class Ccc:
                         f"do not meet at {cells[j]}"))
 
         return ValidationReport(passed=not out, violations=tuple(out))
+
+
+def _chains(s: Ccc) -> list:
+    """Every non-empty ascending chain of cells of ``s``, as a tuple of
+    indices into ``s.cells``; shorter chains come first."""
+    ups = [tuple(_bits(m ^ (1 << i))) for i, m in enumerate(s._above)]
+    out, level = [], [(i,) for i in range(len(ups))]
+    while level:
+        out += level
+        level = [ch + (j,) for ch in level for j in ups[ch[-1]]]
+    return out
+
+
+def _chain_count(s: Ccc) -> int:
+    """The number of :func:`_chains` of ``s``, unlisted: the chains that end
+    in a cell number one plus those that end in each cell below it."""
+    below = s._below
+    ends = [0] * len(below)
+    for i in sorted(range(len(below)), key=lambda i: below[i].bit_count()):
+        ends[i] = 1 + sum(map(ends.__getitem__, _bits(below[i] ^ (1 << i))))
+    return sum(ends)
 
 
 # -- constructors --------------------------------------------------------

@@ -30,7 +30,7 @@ from .chains import (
     free_cycle_generators,
     homology_of,
 )
-from .complexes import Ccc
+from .complexes import Ccc, _chains
 from .errors import CccError, MissingSignError, NotManifoldLikeError, NotOrientableError
 from .flags import (
     Orientation,
@@ -48,7 +48,7 @@ from .flags import (
 # Unused here; kept because bench/tracing.py patches these names.
 from .flags import _two_color, flags_of, orient_all_cells  # noqa: F401
 from .subdivision import chain_of_cell  # noqa: F401
-from .subdivision import _chains, barycentric
+from .subdivision import barycentric
 
 
 @dataclass
@@ -337,6 +337,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
     """Exercise the boundary-adjunction identity on every complementary
     basis pair and on random integer chains, plus the integral form
     against cochains."""
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise TypeError(f"trials must be an int, not {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, not {trials}")
     star = StarMap(dual_orientations(s))

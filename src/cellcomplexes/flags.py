@@ -456,13 +456,12 @@ class SignTable:
         return _Orientations(self)
 
     def flipped(self, cells: Iterable[CellId]) -> "SignTable":
-        """Reverse the orientation of the given cells; signs follow suit."""
+        """Reverse the orientation of the given cells; signs follow suit.
+        A cell that is not in the complex raises UnknownCellError."""
         s = self.complex
         t = [1] * len(s)
         for c in cells:
-            i = s._index.get(c)
-            if i is not None:
-                t[i] = -1
+            t[s._i(c)] = -1
         rows = [tuple(v * e * t[j] for j, v in zip(fs, row))
                 for e, fs, row in zip(t, s._face_ix, self._rows)]
         vertex_signs = {v: e * t[s._index[v]] for v, e in self.vertex_signs.items()}
@@ -749,7 +748,9 @@ def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignT
     Vertices are ordered by ``vertex_order`` (default: token order) and
     every vertex has sign +1; the removal rule makes the boundary of a
     simplex alternate signs starting with +1 at the face that drops the
-    largest vertex.
+    largest vertex.  ``vertex_order`` must name every vertex, and no token
+    twice, or ValueError names the vertex; tokens that name no vertex are
+    ignored.
     """
     verts = []  # by cell index
     for c, r in zip(k.cells, k._ranks):
@@ -765,7 +766,14 @@ def simplicial_signs(k: Ccc, vertex_order: Iterable[str] | None = None) -> SignT
     if vertex_order is None:
         key = lambda v: v
     else:
-        rank = {str(v): i for i, v in enumerate(vertex_order)}
+        order = list(map(str, vertex_order))
+        rank = dict(zip(order, range(len(order))))
+        if len(rank) != len(order):
+            twice = next(v for i, v in enumerate(order) if rank[v] != i)
+            raise ValueError(f"vertex_order names {twice} twice")
+        missing = set().union(*verts) - rank.keys()
+        if missing:
+            raise ValueError(f"vertex_order misses the vertex {min(missing)}")
         key = lambda v: rank[v]
     members = [sorted(vs, key=key, reverse=True) for vs in verts]
     return SignTable._of(k, [permutation_orientation(k, x, members.__getitem__)

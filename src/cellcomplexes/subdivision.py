@@ -35,7 +35,7 @@ import numpy as np
 from .cells import CellId, EMPTY, nest, peel
 from .chains import (Chain, ChainComplex, HomologyResult, _check_cells, _push, chain_complex,
                      homology_of)
-from .complexes import MAX_CELLS, Ccc, _assemble, _bits
+from .complexes import MAX_CELLS, Ccc, _assemble, _chain_count, _chains
 from .errors import CccError, UnknownCellError
 from .flags import SignTable, _index_flags, _require_signs
 from .snf import SparseMatrix
@@ -66,7 +66,7 @@ class ChainMap:
         if len(columns) != len(source.complex):
             raise ValueError(f"{len(columns)} columns for {len(source.complex)} source cells")
         s, t = source.complex, target.complex
-        for d in s._rank_masks:  # every column must land in its source cell's degree
+        for d in range(s.dim + 1):  # every column must land in its source cell's degree
             span, ok = s._rank_range(d), t._rank_range(d)
             ys = list(itertools.chain.from_iterable(columns[span.start:span.stop]))
             if ys and (min(ys) < ok.start or max(ys) >= ok.stop):
@@ -129,13 +129,12 @@ def _subdivide(s: Ccc, points, signs: SignTable):
         p = s._i(x)
         if not ranks_of[p]:
             raise ValueError(f"stellar subdivision at the vertex {x} is not supported")
-        star = 0
-        for z in _bits(s._above[p]):
+        up, rest = s._star(p)
+        for z in up:
             if over[z] not in (-1, p):
                 raise CccError(f"up-sets of {cells[over[z]]} and {x} intersect")
             over[z] = p
-            star |= s._below[z]
-        for b in (-1, *_bits(star & ~s._above[p])):  # the new vertex, then the bases
+        for b in (-1, *rest):  # the new vertex, then the bases
             c = cones[p, b] = nest((x,), cells[b] if b >= 0 else EMPTY)
             if c in s:
                 raise CccError(f"cone label {c} collides with an existing cell")
@@ -234,7 +233,7 @@ def _ascending(s: Ccc, chain) -> list:
     """The cell indices of ``chain``; raises unless it is an ascending chain
     of cells of ``s``."""
     ix = list(map(s._i, chain))
-    if any(a == b or not s._below[b] >> a & 1 for a, b in zip(ix, ix[1:])):
+    if not all(map(s.lt, chain, chain[1:])):
         raise CccError(f"the cells {tuple(chain)} do not form an ascending chain")
     return ix
 
@@ -254,27 +253,12 @@ def chain_of_cell(s: Ccc, cid: CellId):
     return s._labels(_ascending(s, chain))
 
 
-def _chains(s: Ccc) -> list:
-    """Every non-empty ascending chain of cells of ``s``, as a tuple of
-    indices into ``s.cells``; shorter chains come first."""
-    ups = [tuple(_bits(m ^ (1 << i))) for i, m in enumerate(s._above)]
-    out, level = [], [(i,) for i in range(len(ups))]
-    while level:
-        out += level
-        level = [ch + (j,) for ch in level for j in ups[ch[-1]]]
-    return out
-
-
 def _refuse_oversize(s: Ccc) -> None:
     """Raises ValueError when the barycentric subdivision of ``s`` has more
-    than ``MAX_CELLS`` cells, counted without building it: the chains that
-    end in a cell number one plus those that end in each cell below it."""
-    ends = [0] * len(s)
-    for i in sorted(range(len(s)), key=lambda i: s._below[i].bit_count()):
-        ends[i] = 1 + sum(map(ends.__getitem__, _bits(s._below[i] ^ (1 << i))))
-    if sum(ends) > MAX_CELLS:
-        raise ValueError(f"the barycentric subdivision has {sum(ends)} cells, "
-                         f"more than {MAX_CELLS}")
+    than ``MAX_CELLS`` cells, counted without building it."""
+    n = _chain_count(s)
+    if n > MAX_CELLS:
+        raise ValueError(f"the barycentric subdivision has {n} cells, more than {MAX_CELLS}")
 
 
 @cache

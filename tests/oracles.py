@@ -760,19 +760,21 @@ def dense_homology_of_cells(s, mats, cells) -> HomologyResult:
 
 def pairwise_meet_violations(s: Ccc) -> list:
     """The axiom-2a violations of ``s``, found by testing every pair of
-    cells for a greatest lower bound."""
-    cells, below = s._cells, s._below
+    cells for a greatest lower bound: the last common lower bound in
+    ``s.cells`` order must have every common lower bound below it."""
+    cells = s.cells
     n = len(cells)
+    down = [s.closure([x]) for x in cells]
+    index = dict(zip(cells, range(n)))
     out = []
     # pairwise greatest lower bounds generate all finite meets
     for i in range(n):
-        bi = below[i]
         for j in range(i + 1, n):
-            common = bi & below[j]
+            common = down[i] & down[j]
             if not common:
                 continue
-            top = common.bit_length() - 1
-            if below[top] != common:
+            top = max(map(index.__getitem__, common))
+            if down[top] != common:
                 out.append(AxiomViolation(
                     "2a", (cells[i], cells[j]),
                     f"{cells[i]} and {cells[j]} are bounded below "
@@ -868,10 +870,9 @@ def label_walk_barycentric(s: Ccc):
 
 
 def mask_cofaces(s: Ccc) -> dict:
-    """The cells one rank up in the up-set mask of each cell."""
-    return {x: tuple(s.cells[j] for j in range(len(s))
-                     if s._above[i] >> j & 1 and s._ranks[j] == s._ranks[i] + 1)
-            for i, x in enumerate(s.cells)}
+    """The cells one rank up in the up-set of each cell, in cell order."""
+    return {x: tuple(y for y in s.cells if y in up and s.rank(y) == s.rank(x) + 1)
+            for x, up in zip(s.cells, map(s.up_set, s.cells))}
 
 
 # -- cycle representatives -------------------------------------------------

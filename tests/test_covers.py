@@ -5,6 +5,9 @@ the one built from every cell strictly below each cell, and the
 constructors with orders listed in full by the oracles.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,7 @@ from oracles import (
 
 from cellcomplexes import fixtures, subdivision
 from cellcomplexes.cells import EMPTY, CellId
-from cellcomplexes.complexes import Ccc, from_simplicial, product
+from cellcomplexes.complexes import Ccc, _chain_count, from_simplicial, product
 from cellcomplexes.errors import CoverCycleError
 from cellcomplexes.fileformat import covering_pairs
 from cellcomplexes.flags import orient_all_cells, simplicial_signs
@@ -200,6 +203,41 @@ def test_barycentric_of_any_order_matches_the_label_walk(data):
     want, want_signs = label_walk_barycentric(s)
     assert got.cells == want.cells and got == want
     assert got_signs.signs == want_signs.signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_acyclic_relations())
+def test_the_star_of_any_order_is_the_closure_of_the_up_set(data):
+    s = Ccc(*data)
+    for x in s.cells:
+        star = s.closure(s.up_set(x))
+        assert s.open_star(x) == star - s.up_set(x)
+        assert s.star(x) == s.subcomplex(star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_acyclic_relations())
+def test_the_chain_count_of_any_order_is_the_size_of_its_subdivision(data):
+    s = Ccc(*data)
+    assert _chain_count(s) == len(barycentric(s)[0])
+
+
+def test_only_complexes_reads_the_stored_order():
+    # the order's storage is private to complexes.py: other modules and the
+    # oracles read faces, cofaces, covers, stars and chains through queries
+    root = Path(__file__).parents[1]
+    paths = [p for p in sorted((root / "src" / "cellcomplexes").glob("*.py"))
+             if p.name != "complexes.py"] + [root / "tests" / "oracles.py"]
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_below", "_above",
+                                                                  "_rank_masks"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "_bits"
+                                                          for a in node.names):
+                found.append(f"{path.name}:{node.lineno} import _bits")
+    assert len(paths) > 10 and found == []
 
 
 def test_barycentric_labels_a_vertex_above_a_positive_rank_cell():

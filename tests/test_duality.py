@@ -363,6 +363,12 @@ def test_stokes_rejects_negative_trials(torus9):
         stokes_check(torus9, trials=-3)
 
 
+@pytest.mark.parametrize("trials", [1.5, True, "3", None])
+def test_stokes_rejects_trials_that_are_not_ints(torus9, trials):
+    with pytest.raises(TypeError, match=f"^trials must be an int, not {trials!r}$"):
+        stokes_check(torus9, trials=trials)
+
+
 def test_stokes_point_makes_no_random_trials():
     rep = stokes_check(fixtures.point())
     assert rep.passed

@@ -15,7 +15,7 @@ from cellcomplexes import fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import chain_complex
 from cellcomplexes.complexes import from_simplicial
-from cellcomplexes.errors import NotEquidimensionalError, NotOrientableError
+from cellcomplexes.errors import NotEquidimensionalError, NotOrientableError, UnknownCellError
 from cellcomplexes.flags import (
     all_flags,
     flag_graph,
@@ -248,6 +248,11 @@ def test_flipped_table_flips_signs(torus9, torus9_signs):
     assert both.s(x, y) == torus9_signs.s(x, y)
 
 
+def test_flipping_a_cell_not_in_the_complex_is_refused(torus9_signs):
+    with pytest.raises(UnknownCellError, match="^cell zz is not in the complex$"):
+        torus9_signs.flipped([C("f00"), C("zz")])
+
+
 def test_orient_all_cells_rejects_nonorientable_cell():
     # a one-cell with three vertices is not orientable (triangle flag graph)
     s = from_simplicial([("a", "b"), ("b", "c"), ("a", "c")])
@@ -282,6 +287,23 @@ def test_alternating_pattern_under_explicit_order():
     faces_desc = ["p_q_r", "p_q_s", "p_r_s", "q_r_s"]  # drop s, r, q, p
     for i, f in enumerate(faces_desc):
         assert t.s(top, C(f)) == (-1) ** i
+
+
+@pytest.mark.parametrize("order, message", [
+    (["a", "b"], "vertex_order misses the vertex c"),
+    (["c", "a", "b", "a"], "vertex_order names a twice"),
+    (["z", "a", "b", "c", "z"], "vertex_order names z twice"),
+])
+def test_vertex_order_must_name_each_vertex_once(order, message):
+    k = from_simplicial([("a", "b", "c")])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simplicial_signs(k, vertex_order=order)
+
+
+def test_vertex_order_may_name_tokens_of_no_vertex():
+    k = from_simplicial([("a", "b", "c")])
+    assert simplicial_signs(k, vertex_order="zcybxa").signs == \
+        simplicial_signs(k, vertex_order="cba").signs
 
 
 def test_simplicial_matrices_match_oracle(tetra_boundary):
