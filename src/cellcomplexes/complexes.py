@@ -34,6 +34,7 @@ from .errors import (
     CoverCycleError,
     DuplicateCellError,
     EmptyComplexError,
+    FormatError,
     NotManifoldLikeError,
     RankOrderError,
     UnknownCellError,
@@ -88,17 +89,21 @@ class Ccc:
     :func:`from_simplicial`, :func:`product` or the subdivision module to
     construct instances.  The constructor takes ``ranks`` and
     ``relation`` keyed by label; a relation that names a cell without a
-    rank raises UnknownCellError, a negative rank RankOrderError.
+    rank raises UnknownCellError, a label that is not a CellId
+    FormatError, and a rank that is not an integer in 0..MAX_RANK
+    RankOrderError, naming the least (rank, label) out of range.
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
                  "_face_ix", "_coface_ix", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
-        labels, rank_of = list(ranks), list(ranks.values())  # _setup sorts them
-        if rank_of and min(rank_of) < 0:
-            r, c = min((r, c) for c, r in ranks.items() if r < 0)
-            raise RankOrderError(f"cell {c} has negative rank {r}")
+        labels = list(ranks)  # _setup sorts them
+        rank_of = [_int_rank(c, r) for c, r in ranks.items()]
+        bad = [(r, c) for c, r in zip(labels, rank_of) if not 0 <= r <= MAX_RANK]
+        if bad:
+            r, c = min(bad)
+            raise _rank_out_of_range(c, r)
         at = dict(zip(labels, range(len(labels))))
         below = [()] * len(labels)
         try:
@@ -494,6 +499,28 @@ def _chain_count(s: Ccc) -> int:
 # -- constructors --------------------------------------------------------
 
 MAX_CELLS = 100_000  # the most cells a fixture, product, subdivision or file may have
+MAX_RANK = 10 ** 7  # the highest rank a cell may have: homology lists each degree up to it
+
+
+def _int_rank(c, r) -> int:
+    """The rank ``r`` of the cell labelled ``c`` as an int.  Raises
+    FormatError for a label that is not a CellId and RankOrderError for a
+    rank ``r`` with ``int(r) != r``."""
+    if not isinstance(c, CellId):
+        raise FormatError(f"cell label {c!r} is not a CellId")
+    try:
+        k = int(r)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != r:
+        raise RankOrderError(f"cell {c} has rank {r!r}, not an integer")
+    return k
+
+
+def _rank_out_of_range(c, r: int) -> RankOrderError:
+    if r < 0:
+        return RankOrderError(f"cell {c} has negative rank {r}")
+    return RankOrderError(f"cell {c} has rank {r}, more than {MAX_RANK}")
 
 
 def _assemble(labels: list, ranks: list, below: list, signs=None):
@@ -507,18 +534,20 @@ def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
     The order is the closure of the relation given, here ``covers``.  The
     cells are numbered as they come, each cover is read by position, and
     :func:`_assemble` sorts them once.  The result is returned even if the
-    axioms fail; run ``validate_axioms`` separately.
+    axioms fail; run ``validate_axioms`` separately.  Labels and ranks are
+    refused as by :class:`Ccc`, at the first bad cell.
     """
     at: dict[CellId, int] = {}  # label -> position
     labels, ranks = [], []
     for c, r in cell_ranks:
+        r = _int_rank(c, r)
         if c in at:
             raise DuplicateCellError(f"cell {c} declared twice")
-        if r < 0:
-            raise RankOrderError(f"cell {c} has negative rank {r}")
+        if not 0 <= r <= MAX_RANK:
+            raise _rank_out_of_range(c, r)
         at[c] = len(labels)
         labels.append(c)
-        ranks.append(int(r))
+        ranks.append(r)
     below = [[] for _ in labels]
     for lo, hi in covers:
         i, j = at.get(lo), at.get(hi)

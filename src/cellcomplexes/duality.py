@@ -121,7 +121,7 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
     flag with the least flag ``g`` below ``x`` colors it
     ``omega(g) * omega(g)``.  :meth:`DualOrientationSet.check_sign_law`
     runs before returning, so an ``omega`` whose signs do not orient the
-    dual raises CccError.
+    dual raises CccError, as does one that leaves a flag it reads uncolored.
     """
     if not s.classify().manifold_like:
         raise NotManifoldLikeError("dual orientations need a manifold-like complex")
@@ -132,9 +132,12 @@ def dual_orientations(s: Ccc, omega: Orientation | None = None) -> DualOrientati
     maximal = s.maximal_cells()
     top = dict.fromkeys(map(s._index.__getitem__, maximal), omega)
     rows = _canonical_signs(s, [i for i in range(len(s)) if i not in top])
-    for x, row in _derive_signs(s, top).items():
-        rows[x] = row
-    vertex_signs = {x: omega.sign((x,)) for x in maximal if s.rank(x) == 0}
+    try:
+        for x, row in _derive_signs(s, top).items():
+            rows[x] = row
+        vertex_signs = {x: omega.sign((x,)) for x in maximal if s.rank(x) == 0}
+    except KeyError as e:
+        raise CccError(f"omega does not color the flag {e.args[0]}") from None
     # the sign law: the faces of a dual cell are its cofaces in s
     faces, to_primal = s._face_ix, [s._index[c] for c in sd.cells]
     dual_rows = [tuple(rows[x][faces[x].index(y)] for x in map(to_primal.__getitem__, fs))

@@ -20,7 +20,8 @@ class UnknownCellError(CccError):
 
 
 class RankOrderError(BuildError):
-    """A covering pair whose lower cell does not have strictly smaller rank."""
+    """A rank that is not an integer in 0..MAX_RANK, or a covering pair
+    whose lower cell does not have strictly smaller rank."""
 
 
 class CoverCycleError(BuildError):

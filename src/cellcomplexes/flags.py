@@ -75,14 +75,14 @@ from .errors import (
 Flag = tuple  # of CellId, strictly descending by one rank per step
 
 
-def _walk(tops, faces: Callable, length: int):
-    """The chains that start at a cell of ``tops`` and step to a face until
-    they hold ``length`` cells or end at a cell without faces: depth first,
-    smaller faces first, so in lexicographic order when ``tops`` is sorted."""
+def _walk(tops, faces: Callable):
+    """The chains that start at a cell of ``tops`` and step to a face, one
+    rank down, until they end at a cell without faces: depth first, smaller
+    faces first, so in lexicographic order when ``tops`` is sorted."""
     stack = [(t,) for t in reversed(tops)]
     while stack:
         chain = stack.pop()
-        fs = () if len(chain) == length else faces(chain[-1])
+        fs = faces(chain[-1])
         if fs:
             stack += [chain + (y,) for y in reversed(fs)]
         else:
@@ -116,7 +116,7 @@ def flags_of(s: Ccc, x: CellId) -> list:
 def _index_flags(s: Ccc, i: int) -> list:
     """The flags below the cell at index ``i``, as cell indices, in order."""
     n = s._ranks[i] + 1
-    out = list(_walk((i,), s._face_ix.__getitem__, n))
+    out = list(_walk((i,), s._face_ix.__getitem__))
     if sum(map(len, out)) != n * len(out):  # a chain ends above rank 0
         _require_faces(s, (i,))  # raises, naming a cell without faces
     return out
@@ -155,13 +155,12 @@ class FlagGraph:
         self._tops = tuple(s._i(t) for t in tops)
         _require_faces(s, self._tops)
         self._faces, self._cofaces = s._face_ix, s._coface_ix
-        self._length = s._ranks[self._tops[0]] + 1 if self._tops else 0
         self._is_top = frozenset(self._tops)
         self._between: dict = {}  # (x, z) -> the cells y with x > y > z, on first use
 
     def _index_flags(self):
         """Every flag, as cell indices, in order."""
-        return _walk(self._tops, self._faces.__getitem__, self._length)
+        return _walk(self._tops, self._faces.__getitem__)
 
     def _adjacent(self, f: tuple) -> list:
         """The flags adjacent to ``f``, as cell indices, in order."""

@@ -2,10 +2,11 @@
 
 Exact arbitrary-precision arithmetic throughout.  Two entry points read
 only the diagonal and track no transforms: :func:`invariant_factors` and
-:func:`matrix_rank` read the columns of a :class:`SparseMatrix` (dense
-input is accepted), eliminate their unit entries and hand the small
-non-unit remainder to the dense engine.  The dense engine,
-:func:`smith_normal_form`, tracks all four transforms.
+:func:`matrix_rank` eliminate the unit entries of a :class:`SparseMatrix`
+and hand the small non-unit remainder to the dense engine,
+:func:`smith_normal_form`, which tracks all four transforms.  Every other
+input (the engine's, a :class:`SparseMatrix` too) is read one way, as rows
+of ints: a ragged row or a non-integer entry raises ValueError.
 Its pivoting picks the entry of smallest nonzero magnitude and moves it
 into place, which keeps coefficient growth tame on small dense matrices.
 Its factorization satisfies ``U @ M @ V == diag`` with ``U``, ``V``
@@ -59,14 +60,31 @@ class SmithNormalForm:
     v_inv: list
 
 
-def smith_normal_form(matrix) -> SmithNormalForm:
-    m = len(matrix)
+def _int_rows(matrix, noun: str = "row"):
+    """The rows of a list of rows, a 2-D array or a :class:`SparseMatrix` as
+    lists of ints, and the column count.  ValueError names a row of another
+    length or with an entry ``x`` where ``int(x) != x``."""
     # a matrix without rows still has columns, which only its shape tells
-    n = matrix.shape[1] if hasattr(matrix, "shape") else len(matrix[0]) if m else 0
-    a = [[int(x) for x in row] + e for row, e in zip(matrix, _identity(m))]  # rows of [A | U]
-    for i, row in enumerate(a):
-        if len(row) != n + m:
-            raise ValueError(f"row {i} has {len(row) - m} entries, not {n}")
+    n = matrix.shape[1] if hasattr(matrix, "shape") else len(matrix[0]) if matrix else 0
+    if isinstance(matrix, SparseMatrix):  # exact, unlike its int64 array
+        matrix = [[c.get(i, 0) for c in matrix.column_entries()] for i in range(matrix.shape[0])]
+    out = []
+    for i, row in enumerate(np.asarray(matrix).tolist() if hasattr(matrix, "shape") else matrix):
+        if len(row) != n:
+            raise ValueError(f"{noun} {i} has {len(row)} entries, not {n}")
+        try:
+            out.append([int(x) for x in row])
+        except (TypeError, ValueError, OverflowError):
+            out.append(None)
+        if out[-1] != list(row):
+            raise ValueError(f"{noun} {i} has an entry that is not an integer")
+    return out, n
+
+
+def smith_normal_form(matrix) -> SmithNormalForm:
+    rows, n = _int_rows(matrix)
+    m = len(rows)
+    a = [row + e for row, e in zip(rows, _identity(m))]  # rows of [A | U]
     v, v_inv = _identity(n), _identity(n)  # V is kept under A
     ut = _identity(m)  # U^-1 transposed: it changes by row operations, as V^-1 does
 
@@ -179,8 +197,8 @@ class SparseMatrix:
 
 
 def invariant_factors(matrix) -> list:
-    """The nonzero diagonal of the Smith normal form of a :class:`SparseMatrix`
-    or a dense matrix: positive, each dividing the next.
+    """The nonzero diagonal of the Smith normal form of a :class:`SparseMatrix`,
+    a list of rows or a 2-D array: positive, each dividing the next.
 
     The columns are eliminated as the rows of the transpose, which has the
     same factors.  A unit pivot needs no column operations: once row
@@ -189,15 +207,13 @@ def invariant_factors(matrix) -> list:
     the shortest column among that row's units, which keeps fill-in low on
     sparse boundary matrices.  Rows left without a unit entry form the
     remainder, whose factors come from :func:`smith_normal_form`; when no
-    row is left, it is not called.  The columns of a
-    :class:`SparseMatrix` are copied, not changed.
+    row is left, it is not called.  The columns of a :class:`SparseMatrix`
+    are copied, not changed; other matrices are read as rows of ints.
     """
     if isinstance(matrix, SparseMatrix):
         lines = matrix.column_entries()
     else:
-        a = np.asarray(matrix)
-        lines = [{i: int(v) for i, v in enumerate(col) if v}
-                 for col in (a.T.tolist() if a.size else [])]
+        lines = [{i: v for i, v in enumerate(col) if v} for col in zip(*_int_rows(matrix)[0])]
     rows = {i: dict(r) for i, r in enumerate(lines) if r}  # row -> {column: nonzero entry}
     col_rows = defaultdict(set)  # column -> rows with a nonzero there
     for i, r in rows.items():
@@ -261,35 +277,24 @@ def solve_columns(basis_cols, target) -> list:
     ``basis_cols`` must be independent and span a saturated sublattice
     containing every column of ``target``; raises ArithmeticError when a
     column is not in the span, and ValueError when a basis column or a
-    target row has the wrong length.
+    target row has the wrong length or an entry that is not an integer.
     """
-    n = len(basis_cols[0]) if basis_cols else len(target)
-    k = len(basis_cols)
-    cols = len(target[0]) if target else 0
-    for j, col in enumerate(basis_cols):
-        if len(col) != n:
-            raise ValueError(f"basis column {j} has {len(col)} entries, not {n}")
-    if len(target) != n:
+    basis, n = _int_rows(basis_cols, "basis column")
+    target, cols = _int_rows(target, "target row")
+    if basis and len(target) != n:
         raise ValueError(f"target has {len(target)} rows, not {n}")
-    for i, row in enumerate(target):
-        if len(row) != cols:
-            raise ValueError(f"target row {i} has {len(row)} entries, not {cols}")
-    mat = [[basis_cols[j][i] for j in range(k)] for i in range(n)]
+    k, n = len(basis), len(target)
+    mat = [[col[i] for col in basis] for i in range(n)]
     snf = smith_normal_form(mat)
     if snf.rank != k:
         raise ArithmeticError("basis columns are not independent")
     ub = matmul(snf.u, target)
     coords = []
     for c in range(cols):
-        y = [ub[i][c] for i in range(n)]
-        if any(y[i] for i in range(k, n)):
+        y = [row[c] for row in ub]
+        if any(y[k:]):
             raise ArithmeticError("target column outside the basis span")
-        z = []
-        for i in range(k):
-            d = snf.diagonal[i]
-            if y[i] % d:
-                raise ArithmeticError("target column outside the basis lattice")
-            z.append(y[i] // d)
-        coords.append(z)
-    vz = matmul(snf.v, [[z[i] for z in coords] for i in range(k)])
-    return vz  # k x cols
+        if any(x % d for x, d in zip(y, snf.diagonal)):
+            raise ArithmeticError("target column outside the basis lattice")
+        coords.append([x // d for x, d in zip(y, snf.diagonal)])
+    return matmul(snf.v, [list(z) for z in zip(*coords)])  # k x cols

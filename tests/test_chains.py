@@ -283,6 +283,13 @@ def test_relative_requires_closed(torus9, torus9_signs):
         relative_homology(torus9, {C("h00")}, torus9_signs)
 
 
+@pytest.mark.parametrize("t", [["zz"], ["v00", "zz"]])
+def test_relative_homology_names_an_unknown_cell(torus9, torus9_signs, t):
+    with pytest.raises(UnknownCellError) as info:
+        relative_homology(torus9, map(C, t), torus9_signs)
+    assert str(info.value) == "cell zz is not in the complex"
+
+
 def test_reduced_homology(torus9, torus9_signs):
     h = homology(torus9, torus9_signs, reduced=True)
     assert h.betti == (0, 2, 1)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import label_dict_ccc, pairwise_meet_violations
 
 from cellcomplexes import fixtures
-from cellcomplexes.cells import CellId
+from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.complexes import (
+    MAX_RANK,
     Ccc,
     build_complex,
     euler_characteristic,
@@ -18,9 +19,11 @@ from cellcomplexes.complexes import (
 )
 from cellcomplexes.fileformat import dumps, loads
 from cellcomplexes.errors import (
+    CccError,
     CoverCycleError,
     DuplicateCellError,
     EmptyComplexError,
+    FormatError,
     NotManifoldLikeError,
     RankOrderError,
     UnknownCellError,
@@ -86,6 +89,106 @@ def test_negative_rank_names_the_least_rank_and_label(ranks):
     with pytest.raises(RankOrderError) as got:
         Ccc(ranks, {})
     assert str(got.value) == str(want.value)
+
+
+def _both_front_ends(ranks: dict):
+    """Calls that build the cells ``ranks`` names through each front end."""
+    return [lambda: Ccc(ranks, {}), lambda: build_complex(list(ranks.items()), [])]
+
+
+@pytest.mark.parametrize("label", ["a", EMPTY, (1, "a"), None], ids=repr)
+def test_a_label_that_is_not_a_cell_id_is_refused(label):
+    # dumps wrote such labels in forms that loads refuses or reads as other labels
+    for build in _both_front_ends({C("b"): 0, label: 0}):
+        with pytest.raises(FormatError) as info:
+            build()
+        assert str(info.value) == f"cell label {label!r} is not a CellId"
+    with pytest.raises(FormatError, match="^cell label 'a' is not a CellId$"):
+        build_complex([("a", 0), ("b", 0), ("e", 1)], [("a", "e"), ("b", "e")])
+
+
+@pytest.mark.parametrize("rank", [0.5, 1.5, "1", None], ids=repr)
+def test_a_rank_that_is_not_an_integer_is_refused(rank):
+    # 0.5 was kept by Ccc and cut to 0 by build_complex; "1" and None raised TypeError
+    for build in _both_front_ends({C("b"): 0, C("a"): rank}):
+        with pytest.raises(RankOrderError) as info:
+            build()
+        assert str(info.value) == f"cell a has rank {rank!r}, not an integer"
+
+
+def test_integral_ranks_are_stored_as_ints():
+    # True and 1.0 were kept, and dumps wrote "cell a True" and "cell b 1.0"
+    for build in _both_front_ends({C("a"): True, C("b"): 1.0, C("c"): 0}):
+        s = build()
+        assert dumps(s) == "ccc v1\ncell c 0\ncell a 1\ncell b 1\n"
+        assert all(type(r) is int for r in s._ranks) and loads(dumps(s)) == s
+
+
+def test_a_rank_above_max_rank_is_refused_before_homology_runs(run_capped):
+    # homology lists every degree up to the top rank, and ran out of memory
+    proc = run_capped("from cellcomplexes.cells import CellId\n"
+                      "from cellcomplexes.chains import homology\n"
+                      "from cellcomplexes.complexes import build_complex\n"
+                      "from cellcomplexes.errors import RankOrderError\n"
+                      "from cellcomplexes.flags import SignTable\n"
+                      "try:\n"
+                      "    s = build_complex([(CellId.of('a'), 10 ** 8)], [])\n"
+                      "    homology(s, SignTable(s, {}))\n"
+                      "except RankOrderError as e:\n"
+                      "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cell a has rank 100000000, more than 10000000\n"
+
+
+def test_ranks_out_of_range_name_the_least_rank_and_label():
+    for build in _both_front_ends({C("a"): MAX_RANK + 1}):
+        with pytest.raises(RankOrderError, match="^cell a has rank 10000001, more than 10000000$"):
+            build()
+    with pytest.raises(RankOrderError, match="^cell c has negative rank -1$"):
+        Ccc({C("a"): 10 ** 8, C("c"): -1, C("b"): MAX_RANK + 1}, {})
+    with pytest.raises(RankOrderError, match="^cell b has rank 10000001, more than 10000000$"):
+        Ccc({C("a"): 10 ** 8, C("c"): MAX_RANK, C("b"): MAX_RANK + 1}, {})
+    assert Ccc({C("a"): MAX_RANK}, {}).dim == build_complex([(C("a"), MAX_RANK)], []).dim
+
+
+_labels = st.recursive(st.sampled_from(["a", "b", "v0", "e1"]).map(C),
+                       lambda inner: st.builds(CellId.cone, inner, inner | st.just(EMPTY)),
+                       max_leaves=4)
+
+
+@st.composite
+def _front_end_input(draw):
+    """Distinct labels with ranks below their count, each an int, an
+    integral float or a bool, and a relation in which each cell names
+    cells of lower rank; at most one cell then gets a label that is not a
+    CellId or a rank that is not an integer."""
+    labels = draw(st.lists(_labels, min_size=1, max_size=8, unique=True))
+    n = len(labels)
+    ks = [draw(st.integers(0, n - 1)) for _ in labels]
+    ranks = [draw(st.sampled_from([k, float(k)] + [bool(k)] * (k < 2))) for k in ks]
+    relation = [[d for d, j in zip(labels, ks) if j < k and draw(st.booleans())] for k in ks]
+    spoil, at = draw(st.sampled_from(["nothing", "label", "rank"])), draw(st.integers(0, n - 1))
+    if spoil == "label":
+        good, labels[at] = labels[at], draw(st.sampled_from(["a", EMPTY, (1, "zz"), None, 3]))
+        relation = [[labels[at] if d == good else d for d in ds] for ds in relation]
+    elif spoil == "rank":
+        ranks[at] = draw(st.sampled_from([ks[at] + 0.5, str(ks[at]), None]))
+    return dict(zip(labels, ranks)), dict(zip(labels, relation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_front_end_input(), st.booleans())
+def test_what_either_front_end_accepts_loads_back(data, by_covers):
+    ranks, relation = data
+    try:
+        if by_covers:
+            s = build_complex(list(ranks.items()),
+                              [(d, c) for c, ds in relation.items() for d in ds])
+        else:
+            s = Ccc(ranks, relation)
+    except CccError:
+        return
+    assert loads(dumps(s)) == s
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))

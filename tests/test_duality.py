@@ -58,6 +58,23 @@ def test_incoherent_omega_is_refused(torus9):
         dual_orientations(torus9, broken)
 
 
+def test_omega_that_leaves_a_flag_uncolored_is_refused(torus9):
+    # was a bare KeyError from reading the flag's color
+    with pytest.raises(CccError) as info:
+        dual_orientations(torus9, flags.Orientation({}))
+    assert type(info.value) is CccError
+    assert str(info.value) == "omega does not color the flag (f00, e00, v00)"
+    omega = orient(torus9)
+    f = flags_of(torus9, torus9.cells_of_rank(2)[-1])[0]
+    partial = flags.Orientation({g: c for g, c in omega.colors.items() if g != f})
+    with pytest.raises(CccError) as info:
+        dual_orientations(torus9, partial)
+    assert str(info.value) == f"omega does not color the flag {f}" and str(f) == "(f22, e20, v00)"
+    # a point is its own top cell: its one flag is read as a vertex sign
+    with pytest.raises(CccError, match=r"^omega does not color the flag \(v,\)$"):
+        dual_orientations(fixtures.fixture("point"), flags.Orientation({}))
+
+
 def test_dual_orientations_are_orientations(torus9, torus_dos):
     sd = torus_dos.dual_complex
     for x in torus9.cells:

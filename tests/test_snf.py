@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import looped_smith_normal_form, sympy_invariant_factors
 
-from cellcomplexes import fixtures, snf
+from cellcomplexes import chains, fixtures, snf
 from cellcomplexes.chains import chain_complex
 from cellcomplexes.errors import NotOrientableError
 from cellcomplexes.flags import SignTable, orient_all_cells
@@ -243,3 +245,111 @@ def test_fixture_boundaries_match_dense_engine(name):
                 for mat in (m, m.T):
                     assert invariant_factors(mat) == _dense_factors(mat.tolist())
                     assert repr(smith_normal_form(mat)) == repr(looped_smith_normal_form(mat))
+
+
+# -- one reader for every matrix ---------------------------------------------
+
+
+def _sparse(mat, n):
+    return snf.SparseMatrix(len(mat), [{i: row[j] for i, row in enumerate(mat) if row[j]}
+                                       for j in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_matrices)
+def test_every_form_of_a_matrix_gives_the_same_results(mat):
+    n = len(mat[0])
+    big = [[x << 70 if abs(x) == 9 else x for x in row] for row in mat]  # past int64
+    for m, forms in [(mat, [mat, np.array(mat, dtype=np.int64), _sparse(mat, n)]),
+                     (big, [big, np.array(big, dtype=object), _sparse(big, n)])]:
+        want = looped_smith_normal_form(m)
+        factors = sympy_invariant_factors(m)
+        kernel = [[want.v[i][j] for i in range(n)] for j in range(want.rank, n)]
+        for form in forms:
+            assert repr(smith_normal_form(form)) == repr(want)
+            assert invariant_factors(form) == factors
+            assert matrix_rank(form) == len(factors)
+            assert kernel_basis(form) == kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_matrices, st.data())
+def test_solve_columns_reads_lists_and_arrays_alike(mat, data):
+    v = looped_smith_normal_form(mat).v  # unimodular: its columns span saturated lattices
+    n = len(v)
+    k = data.draw(st.integers(0, n))
+    basis = [[v[i][j] for i in range(n)] for j in range(k)]
+    coords = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                                max_size=3))  # one list per target column
+    target = [[sum(c[j] * basis[j][i] for j in range(k)) for c in coords] for i in range(n)]
+    want = [[c[j] for c in coords] for j in range(k)]
+    for dtype in (np.int64, object):
+        arrays = (np.array(basis, dtype=dtype).reshape(k, n),
+                  np.array(target, dtype=dtype).reshape(n, len(coords)))
+        assert solve_columns(*arrays) == want
+    assert solve_columns(basis, target) == want
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (invariant_factors, ([[0.5]],), "row 0"),
+    (matrix_rank, ([[0.5, 1]],), "row 0"),
+    (kernel_basis, ([[0.5, 1]],), "row 0"),
+    (smith_normal_form, ([[1.5]],), "row 0"),
+    (invariant_factors, ([["2"]],), "row 0"),
+    (solve_columns, ([[1, 0]], [[0.5], [0]]), "target row 0"),
+])
+def test_non_integer_entries_are_refused(fn, args, message):
+    # each of these read an entry as something else: an answer, not an error
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == f"{message} has an entry that is not an integer"
+
+
+@pytest.mark.parametrize("x", [0.5, "2", Fraction(1, 2), None], ids=repr)
+def test_each_entry_point_names_the_row_of_a_non_integer(x):
+    mat = [[1, 0, 2], [3, x, 1]]
+    for fn in (smith_normal_form, invariant_factors, matrix_rank, kernel_basis):
+        for form in (mat, np.array(mat, dtype=object)):
+            with pytest.raises(ValueError, match="^row 1 has an entry that is not an integer$"):
+                fn(form)
+    with pytest.raises(ValueError, match="^basis column 1 has an entry that is not an integer$"):
+        solve_columns([[1, 0], [x, 1]], [[1], [0]])
+    with pytest.raises(ValueError, match="^target row 1 has an entry that is not an integer$"):
+        solve_columns([[1, 0], [0, 1]], [[1], [x]])
+
+
+def test_integral_floats_and_bools_read_as_ints():
+    assert repr(smith_normal_form([[2.0, True]])) == repr(smith_normal_form([[2, 1]]))
+    assert invariant_factors([[2.0, 0], [0, 4.0]]) == invariant_factors(np.array([[2.0, 0], [0, 4]]))
+    assert invariant_factors([[2.0, 0], [0, 4.0]]) == [2, 4]
+    assert kernel_basis([[True, True]]) == kernel_basis([[1, 1]])
+
+
+def test_invariant_factors_name_a_ragged_row():
+    with pytest.raises(ValueError) as info:
+        invariant_factors([[1], [2, 3]])
+    assert str(info.value) == "row 1 has 2 entries, not 1"
+
+
+def test_free_cycle_generators_hand_over_the_sparse_boundary(monkeypatch):
+    seen = []
+
+    def recording(matrix):
+        seen.append(type(matrix))
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(chains, "smith_normal_form", recording)
+    s = fixtures.torus(3)
+    cc = chain_complex(s, orient_all_cells(s))
+    assert len(chains.free_cycle_generators(cc, 1)) == 2
+    assert seen[0] is snf.SparseMatrix  # the boundary, not a dense copy of it
+
+
+def test_smith_normal_form_of_a_sparse_matrix_is_that_of_its_array():
+    # the array keeps the columns of a boundary without rows, as the sparse form does
+    s = fixtures.torus(3)
+    cc = chain_complex(s, orient_all_cells(s), augmented=True)
+    for i in range(-1, s.dim + 3):
+        m = cc.sparse_boundary(i)
+        want = repr(looped_smith_normal_form(np.asarray(m)))
+        assert repr(smith_normal_form(m)) == repr(smith_normal_form(np.asarray(m))) == want
