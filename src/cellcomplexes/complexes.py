@@ -1,12 +1,14 @@
 """Finite ranked posets and the cell-complex axioms.
 
-A :class:`Ccc` stores every cell's rank together with the full order
-relation, one bitset row per cell, so comparability, closures, meets and
-interval queries are cheap, and its faces and cofaces by cell index.
-Complexes are immutable once built; all operations are pure queries or
-return new complexes.  One core builds every complex from its cells as
-parallel lists, each naming the positions of the cells below it:
-``Ccc(ranks, relation)`` is its front end for labels, and
+A :class:`Ccc` stores every cell's rank and the order as its Hasse
+diagram, the covers and cocovers of each cell by cell index, together with
+its faces and cofaces, which are the covers and cocovers when the axioms
+hold.  Comparability, closures, stars, meets and chains walk these arrays;
+:meth:`Ccc.validate_axioms` alone builds the order as bitsets, for the
+length of the call.  Complexes are immutable once built; all operations
+are pure queries or return new complexes.  One core builds every complex
+from its cells as parallel lists, each naming the positions of the cells
+below it: ``Ccc(ranks, relation)`` is its front end for labels, and
 :func:`build_complex` (so every file) and the derived complexes (products,
 simplicial complexes, subcomplexes, duals and subdivisions) go through
 :func:`_assemble` by position.
@@ -82,20 +84,22 @@ class Ccc:
     Cells are kept in a canonical order (rank, then label).  The order is
     the closure of the relation given, which names cells below each cell:
     covers suffice, and a cycle raises CoverCycleError.  It is stored as
-    one integer bitmask per cell over the canonical order, and the cells
-    one rank below and above each cell once, as ascending index tuples
-    (``_face_ix`` and ``_coface_ix``); :meth:`faces` and :meth:`cofaces`
-    put them in labels on each call.  Use :func:`build_complex`,
-    :func:`from_simplicial`, :func:`product` or the subdivision module to
-    construct instances.  The constructor takes ``ranks`` and
-    ``relation`` keyed by label; a relation that names a cell without a
-    rank raises UnknownCellError, a label that is not a CellId
+    its Hasse diagram, the covers of each cell and their inverse, and the
+    cells one rank below and above each cell are stored too, all as
+    ascending index tuples (``_cover_ix``, ``_cocover_ix``, ``_face_ix``
+    and ``_coface_ix``).  Where every cover drops one rank, as when the
+    axioms hold, the covers are the faces and one tuple serves as both.
+    :meth:`faces` and :meth:`cofaces` put them in labels on each call.
+    Use :func:`build_complex`, :func:`from_simplicial`, :func:`product` or
+    the subdivision module to construct instances.  The constructor takes
+    ``ranks`` and ``relation`` keyed by label; a relation that names a cell
+    without a rank raises UnknownCellError, a label that is not a CellId
     FormatError, and a rank that is not an integer in 0..MAX_RANK
     RankOrderError, naming the least (rank, label) out of range.
     """
 
-    __slots__ = ("_cells", "_ranks", "_index", "_below", "_above",
-                 "_face_ix", "_coface_ix", "_dim")
+    __slots__ = ("_cells", "_ranks", "_index", "_face_ix", "_coface_ix",
+                 "_cover_ix", "_cocover_ix", "_dim")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
         labels = list(ranks)  # _setup sorts them
@@ -115,10 +119,13 @@ class Ccc:
 
     def _setup(self, labels: list, ranks: list, below: list, signs=None):
         """The construction core: number the cells ``labels[p]`` of rank
-        ``ranks[p]`` in canonical order and close the relation that names
-        the positions ``below[p]`` under each.  Returns the complex and,
-        where ``signs[p]`` signs the cells ``below[p]`` names in order, up
-        to its last face, its sign rows aligned with ``_face_ix`` (0: none)."""
+        ``ranks[p]`` in canonical order and store the order generated by
+        the relation that names the positions ``below[p]`` under each.  A
+        graded relation, each named cell one rank down and named once, is
+        its own Hasse diagram and names exactly the faces; any other is
+        closed first.  Returns the complex and, where ``signs[p]`` signs the
+        cells ``below[p]`` names in order, up to its last face, its sign
+        rows aligned with ``_face_ix`` (0: none)."""
         n = len(labels)
         order = sorted(range(n), key=list(zip(ranks, labels)).__getitem__)
         cells, rank_of, rel = labels, ranks, below
@@ -130,46 +137,26 @@ class Ccc:
         if len(index) != n:
             twice = next(c for i, c in enumerate(cells) if index[c] != i)
             raise CccError(f"labels collide: {twice} names two cells")
-        # a cell's closure is taken after those of the cells it names: a cell
-        # naming an unfinished one waits (-1) on the stack until they are done
-        below = [0] * n
-        done = []  # every cell after the cells it names
-        stack = list(range(n - 1, -1, -1))
-        while stack:
-            i = stack.pop()
-            todo = [j for j in rel[i] if below[j] <= 0]
-            if todo:
-                if any(below[j] for j in todo):
-                    raise CoverCycleError(f"the order relation has a cycle through {cells[i]}")
-                below[i] = -1
-                stack += [i, *todo]
-            elif below[i] <= 0:
-                m = 1 << i
-                for j in rel[i]:
-                    m |= below[j]
-                below[i] = m
-                done.append(i)
-        above = [1 << i for i in range(n)]
-        for i in reversed(done):
-            for j in rel[i]:
-                above[j] |= above[i]
-        # cells are sorted by rank, so each rank's cells form one index range
-        rank_masks = {r: (1 << bisect_right(rank_of, r)) - (1 << bisect_left(rank_of, r))
-                      for r in dict.fromkeys(rank_of)}
-        face_ix = []
-        cofaces = [[] for _ in range(n)]  # filled by inverting the face lists
-        for i in range(n):
-            fs = tuple(_bits(below[i] & rank_masks.get(rank_of[i] - 1, 0)))
-            face_ix.append(fs)
-            for j in fs:
-                cofaces[j].append(i)
+        # cells are sorted by rank, so the cells one rank below a cell of
+        # rank r are the indices from bisect_left(r - 1) to bisect_left(r)
+        span = {r: (bisect_left(rank_of, r - 1), bisect_left(rank_of, r))
+                for r in dict.fromkeys(rank_of)}
+        face_ix = tuple(map(tuple, map(sorted, rel)))
+        if all(not fs or lo <= fs[0] and fs[-1] < hi and len(set(fs)) == len(fs)
+               for fs, (lo, hi) in zip(face_ix, map(span.__getitem__, rank_of))):
+            cover_ix = face_ix
+        else:
+            face_ix, cover_ix = _closed_faces(rel, rank_of, cells)
+        coface_ix = _inverse(face_ix)
         self._cells = tuple(cells)
         self._ranks = tuple(rank_of)
         self._index = index
-        self._below = below
-        self._above = above
-        self._face_ix = tuple(face_ix)
-        self._coface_ix = tuple(map(tuple, cofaces))
+        self._face_ix = face_ix
+        self._coface_ix = coface_ix
+        if cover_ix == face_ix:  # one tuple for both: see _upward
+            self._cover_ix, self._cocover_ix = face_ix, coface_ix
+        else:
+            self._cover_ix, self._cocover_ix = cover_ix, _inverse(cover_ix)
         self._dim = max(self._ranks) if cells else -1
         zero = repeat(0)
         return self, None if signs is None else [
@@ -197,7 +184,7 @@ class Ccc:
         if not isinstance(other, Ccc):
             return NotImplemented
         return (self._cells == other._cells and self._ranks == other._ranks
-                and self._below == other._below)
+                and self._cover_ix == other._cover_ix)
 
     __hash__ = None
 
@@ -224,7 +211,8 @@ class Ccc:
         return range(bisect_left(self._ranks, r), bisect_right(self._ranks, r))
 
     def leq(self, y: CellId, x: CellId) -> bool:
-        return bool(self._below[self._i(x)] >> self._i(y) & 1)
+        i, j = self._i(x), self._i(y)
+        return j in self._reach((i,), self._cover_ix, j)
 
     def lt(self, y: CellId, x: CellId) -> bool:
         return y != x and self.leq(y, x)
@@ -245,52 +233,60 @@ class Ccc:
 
     def _covers(self, i: int) -> tuple:
         """The indices of the covers of the cell at index ``i``, ascending."""
-        strict = self._below[i] ^ (1 << i)
-        under = 0
-        for j in _bits(strict):
-            under |= self._below[j] ^ (1 << j)
-        return tuple(_bits(strict & ~under))
+        return self._cover_ix[i]
 
     def maximal_cells(self) -> tuple:
-        return tuple(c for i, c in enumerate(self._cells)
-                     if self._above[i] == 1 << i)
+        return tuple(c for c, up in zip(self._cells, self._cocover_ix) if not up)
+
+    def _reach(self, starts, links, stop: int = -1) -> set:
+        """The indices reached from ``starts`` along ``links``, the cover or
+        cocover arrays, ``starts`` included; the walk ends once it reaches
+        the index ``stop``."""
+        seen = frontier = set(starts)
+        while frontier and stop not in frontier:
+            frontier = set().union(*map(links.__getitem__, frontier)).difference(seen)
+            seen |= frontier
+        return seen
+
+    def _upward(self):
+        """The cell indices, each after the indices of its covers: index
+        order when the covers are the faces, which sort before their cell."""
+        if self._cover_ix is self._face_ix:
+            return range(len(self._cells))
+        return _topological(self._cover_ix, self._cells)
 
     # -- order-theoretic operations -------------------------------------
 
     def closure(self, cells: Iterable[CellId]) -> set:
         """All cells below some member of ``cells`` (the topological closure)."""
-        m = 0
-        for x in cells:
-            m |= self._below[self._i(x)]
-        return {self._cells[i] for i in _bits(m)}
+        return set(self._labels(self._reach(map(self._i, cells), self._cover_ix)))
 
     def up_set(self, x: CellId) -> set:
         """All cells above ``x`` (the smallest open set containing it)."""
-        return {self._cells[i] for i in _bits(self._above[self._i(x)])}
+        return set(self._labels(self._reach((self._i(x),), self._cocover_ix)))
 
     def meet(self, cells: Iterable[CellId]):
         """Greatest lower bound of a non-empty set, or None if there is none."""
-        m = -1
-        for x in cells:
-            m &= self._below[self._i(x)]
-        if m == -1:
-            raise ValueError("meet of an empty collection")
-        if m == 0:
-            return None
-        top = m.bit_length() - 1
-        return self._cells[top] if self._below[top] == m else None
+        return self._bound(cells, self._cover_ix, max, "meet")
 
     def join(self, cells: Iterable[CellId]):
         """Least upper bound of a non-empty set, or None if there is none."""
-        m = -1
+        return self._bound(cells, self._cocover_ix, min, "join")
+
+    def _bound(self, cells, links, pick, what: str):
+        """The cells reached along ``links`` from every one of ``cells``, and
+        the cell ``pick`` takes of them if it reaches exactly these, else
+        None: the meet along the covers, the join along the cocovers."""
+        common = None
         for x in cells:
-            m &= self._above[self._i(x)]
-        if m == -1:
-            raise ValueError("join of an empty collection")
-        if m == 0:
+            reach = self._reach((self._i(x),), links)
+            common = reach if common is None else common & reach
+        if common is None:
+            raise ValueError(f"{what} of an empty collection")
+        if not common:
             return None
-        low = (m & -m).bit_length() - 1
-        return self._cells[low] if self._above[low] == m else None
+        k = pick(common)
+        return self._cells[k] if self._reach((k,), links) == common else None
 
     def star(self, x: CellId) -> "Ccc":
         """The closed subcomplex spanned by every cell comparable above ``x``."""
@@ -304,24 +300,21 @@ class Ccc:
     def _star(self, i: int) -> tuple:
         """The up-set of the cell at index ``i`` and the rest of its star, the
         cells below the up-set but not in it, as ascending index tuples."""
-        up, star = self._above[i], 0
-        for z in _bits(up):
-            star |= self._below[z]
-        return tuple(_bits(up)), tuple(_bits(star & ~up))
+        up = self._reach((i,), self._cocover_ix)
+        star = self._reach(up, self._cover_ix)
+        return tuple(sorted(up)), tuple(sorted(star - up))
 
     def subcomplex(self, cells: Iterable[CellId]) -> "Ccc":
         """The induced complex on a down-closed set of cells."""
         chosen = sorted({self._i(x) for x in cells})
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        for i in chosen:
-            if self._below[i] & ~mask:
-                raise ValueError("subset is not closed: "
-                                 f"{self._cells[i]} has faces outside it")
         at = dict(zip(chosen, range(len(chosen))))
+        covers = self._cover_ix
+        if not all(j in at for i in chosen for j in covers[i]):
+            i = next(i for i in chosen if not self._reach((i,), covers).issubset(at))
+            raise ValueError("subset is not closed: "
+                             f"{self._cells[i]} has faces outside it")
         return _assemble([self._cells[i] for i in chosen], [self._ranks[i] for i in chosen],
-                         [[at[j] for j in _bits(self._below[i] ^ (1 << i))] for i in chosen])[0]
+                         [[at[j] for j in covers[i]] for i in chosen])[0]
 
     def skeleton(self, i: int) -> "Ccc":
         if i < 0:
@@ -338,16 +331,19 @@ class Ccc:
     def classify(self) -> Classification:
         if not self._cells:
             raise EmptyComplexError("classification of the empty complex is undefined")
-        n = self._dim
-        maximal = 0
-        for i in range(len(self._cells)):
-            if self._above[i] == 1 << i:
-                maximal |= 1 << i
-        equi = all(self._ranks[i] == n for i in _bits(maximal))
-        boundary = frozenset(
-            self._cells[i] for i in range(len(self._cells))
-            if self._ranks[i] < n and (self._above[i] & maximal).bit_count() == 1
-        )
+        n, ups = self._dim, self._cocover_ix
+        equi = all(r == n for r, up in zip(self._ranks, ups) if not up)
+        # the maximal cells above each cell, counted as far as two
+        tops = [set()] * len(ups)
+        for i in reversed(self._upward()):
+            top = set() if ups[i] else {i}
+            for j in ups[i]:
+                top |= tops[j]
+                if len(top) > 1:
+                    break
+            tops[i] = top
+        boundary = frozenset(c for c, r, top in zip(self._cells, self._ranks, tops)
+                             if r < n and len(top) == 1)
         nonsingular = (equi
                        and all(len(self._coface_ix[i]) <= 2 for i in self._rank_range(n - 1))
                        and all(len(self._face_ix[i]) == 2 for i in self._rank_range(1)))
@@ -368,15 +364,14 @@ class Ccc:
         cls = self.classify()
         if not cls.manifold_like:
             raise NotManifoldLikeError("dual is defined only for manifold-like complexes")
-        return _assemble(self._cells, [self._dim - r for r in self._ranks],
-                         [list(_bits(m ^ (1 << i))) for i, m in enumerate(self._above)])[0]
+        return _assemble(self._cells, [self._dim - r for r in self._ranks], self._cocover_ix)[0]
 
     # -- axiom validation ------------------------------------------------
 
     def validate_axioms(self) -> ValidationReport:
         """Check the four axioms and report every violation found."""
         cells, ranks = self._cells, self._ranks
-        below, above = self._below, self._above
+        below, above = _masks(self._cover_ix, self._upward())  # held for this call only
         n = len(cells)
         out = []
         # the cells of each rank present form one index range, so one mask
@@ -478,7 +473,7 @@ class Ccc:
 def _chains(s: Ccc) -> list:
     """Every non-empty ascending chain of cells of ``s``, as a tuple of
     indices into ``s.cells``; shorter chains come first."""
-    ups = [tuple(_bits(m ^ (1 << i))) for i, m in enumerate(s._above)]
+    ups = _ups(s)
     out, level = [], [(i,) for i in range(len(ups))]
     while level:
         out += level
@@ -487,13 +482,87 @@ def _chains(s: Ccc) -> list:
 
 
 def _chain_count(s: Ccc) -> int:
-    """The number of :func:`_chains` of ``s``, unlisted: the chains that end
-    in a cell number one plus those that end in each cell below it."""
-    below = s._below
-    ends = [0] * len(below)
-    for i in sorted(range(len(below)), key=lambda i: below[i].bit_count()):
-        ends[i] = 1 + sum(map(ends.__getitem__, _bits(below[i] ^ (1 << i))))
-    return sum(ends)
+    """The number of :func:`_chains` of ``s``, unlisted: the chains that
+    start at a cell number one plus those that start at each cell above it."""
+    ups = _ups(s)
+    starts = [0] * len(ups)
+    for i in sorted(range(len(ups)), key=lambda i: len(ups[i])):  # cells above first
+        starts[i] = 1 + sum(map(starts.__getitem__, ups[i]))
+    return sum(starts)
+
+
+def _ups(s: Ccc) -> list:
+    """The cells strictly above each cell of ``s``, as ascending index tuples."""
+    return [tuple(sorted(s._reach(up, s._cocover_ix))) for up in s._cocover_ix]
+
+
+def _inverse(links: tuple) -> tuple:
+    """The index tuples that list ``i`` under ``j`` wherever ``links[i]``
+    lists ``j``, each ascending."""
+    out = [[] for _ in links]
+    for i, js in enumerate(links):
+        for j in js:
+            out[j].append(i)
+    return tuple(map(tuple, out))
+
+
+def _topological(rel, cells) -> list:
+    """The positions ``0 .. len(rel) - 1``, each after every position that
+    ``rel`` names under it; a cycle raises CoverCycleError naming one of
+    ``cells`` on it.  A position naming an unfinished one waits (-1) on the
+    stack until those are done."""
+    n = len(rel)
+    state = [0] * n
+    done = []
+    stack = list(range(n - 1, -1, -1))
+    while stack:
+        i = stack.pop()
+        todo = [j for j in rel[i] if state[j] <= 0]
+        if todo:
+            if any(state[j] for j in todo):
+                raise CoverCycleError(f"the order relation has a cycle through {cells[i]}")
+            state[i] = -1
+            stack += [i, *todo]
+        elif state[i] <= 0:
+            state[i] = 1
+            done.append(i)
+    return done
+
+
+def _masks(rel, order) -> tuple:
+    """The down-set and the up-set of each position under the closure of
+    ``rel``, each including the position, as bitsets over the positions;
+    ``order`` lists every position after those ``rel`` names under it."""
+    below = [0] * len(rel)
+    for i in order:
+        m = 1 << i
+        for j in rel[i]:
+            m |= below[j]
+        below[i] = m
+    above = [1 << i for i in range(len(rel))]
+    for i in reversed(order):
+        for j in rel[i]:
+            above[j] |= above[i]
+    return below, above
+
+
+def _closed_faces(rel, ranks, cells) -> tuple:
+    """The faces and the covers of each cell, as ascending index tuples,
+    under the closure of a relation that is not graded: the faces are the
+    cells one rank down in the down-set, and the covers the cells strictly
+    below it and strictly below no cell that ``rel`` names under it."""
+    below = _masks(rel, _topological(rel, cells))[0]
+    # cells are sorted by rank, so each rank's cells form one index range
+    of_rank = {r: (1 << bisect_right(ranks, r)) - (1 << bisect_left(ranks, r))
+               for r in dict.fromkeys(ranks)}
+    faces, covers = [], []
+    for i, (m, names) in enumerate(zip(below, rel)):
+        faces.append(tuple(_bits(m & of_rank.get(ranks[i] - 1, 0))))
+        under = 0
+        for j in names:
+            under |= below[j] ^ (1 << j)
+        covers.append(tuple(_bits((m ^ (1 << i)) & ~under)))
+    return tuple(faces), tuple(covers)
 
 
 # -- constructors --------------------------------------------------------

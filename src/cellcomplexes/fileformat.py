@@ -80,7 +80,7 @@ def loads(text: str) -> Ccc:
                 raise FormatError(f"unrecognized line {raw!r}")
         except (ValueError, CccError) as e:
             raise FormatError(f"line {ln}: {e}") from None
-    if len(cell_ranks) > MAX_CELLS:  # the bitsets of the order grow as the square
+    if len(cell_ranks) > MAX_CELLS:  # validation's bitsets of the order grow as the square
         raise FormatError(f"the file has {len(cell_ranks)} cells, more than {MAX_CELLS}")
     for c, r in cell_ranks:  # a rank-r cell tops a chain of r + 1 cells
         if r >= len(cell_ranks):

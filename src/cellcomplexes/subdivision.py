@@ -153,11 +153,19 @@ def _subdivide(s: Ccc, points, signs: SignTable):
     labels = [cells[i] for i in old] + list(cones.values())
     ranks = [ranks_of[i] for i in old] + [ranks_of[b] + 1 if b >= 0 else 0 for _, b in cones]
     below, rows = [[at[j] for j in named[i]] for i in old], [given[i] for i in old]
+    # a base of positive rank has a face in the rest of the star, whose cone
+    # lies below the base's, and so on down to a vertex, whose cone names
+    # the apex: the cone over the base names the apex only when some cell of
+    # positive rank has no face
+    faceless = not all(faces[s._rank_range(0).stop:])
     for p, b in cones:
         if b < 0:  # the new vertex
             below.append(())
             rows.append(())
-        else:  # the cone rule; the apex is a face only of the cone over a vertex
+        elif ranks_of[b] and not faceless:  # the cone rule
+            below.append([at[b], *(pos[p, j] for j in named[b])])
+            rows.append((1, *(-v for v in given[b])))
+        else:  # the apex is a face only of the cone over a vertex
             below.append([at[b], pos[p, -1], *(pos[p, j] for j in named[b])])
             rows.append((1, -signs.vertex_signs.get(cells[b], 0), *(-v for v in given[b])))
     out, rows = _assemble(labels, ranks, below, rows)

@@ -69,15 +69,17 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def run_capped():
-    """``run_capped(code)`` runs ``code`` in a fresh interpreter that caps
-    its own address space at 1 GiB first, so that a complex built by
-    mistake fails there with MemoryError instead of filling the machine."""
+    """``run_capped(code, cap=1 << 30)`` runs ``code`` in a fresh interpreter
+    that caps its own address space at ``cap`` bytes (1 GiB by default)
+    first, so that a complex built by mistake fails there with MemoryError
+    instead of filling the machine.  BLAS runs one thread, whose stacks
+    would otherwise count against the cap."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    prelude = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
 
-    def run(code):
+    def run(code, cap=1 << 30):
+        prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
                               text=True, timeout=120, env=env)
 

@@ -30,7 +30,11 @@ diamond and top-cell rules run over dicts keyed by labels and label
 pairs, as the library ran them before its signs moved to cell indices;
 files are read with every token through the full label parser, and their
 cells kept in label dicts, sorted and numbered before the core closes them,
-as the loader read them before it built by position.
+as the loader read them before it built by position; and the order a
+relation generates is kept whole, each cell's down-set and up-set as one
+bitset closed by a stack walk, with every order query and the axiom report
+read off those bitsets, as the library kept its order before it stored
+only covers.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
 from cellcomplexes.chains import Chain, HomologyResult
-from cellcomplexes.complexes import AxiomViolation, Ccc, simplex_vertices
+from cellcomplexes.complexes import (AxiomViolation, Ccc, Classification, ValidationReport,
+                                     simplex_vertices)
 from cellcomplexes.errors import (CccError, CoverCycleError, DuplicateCellError, FormatError,
                                   NotOrientableError, RankOrderError, UnknownCellError)
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
@@ -753,6 +758,251 @@ def dense_homology_of_cells(s, mats, cells) -> HomologyResult:
     sliced = [np.zeros((0, len(keep[0])), dtype=np.int64)]
     sliced += [mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, s.dim + 1)]
     return dense_homology([len(k) for k in keep], sliced)
+
+
+# -- the order as bitsets --------------------------------------------------------
+
+
+def _set_bits(mask: int) -> list:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class BitsetOrder:
+    """The order a relation generates, kept whole: each cell's down-set and
+    up-set as one bitset over the canonical order (rank, then label), closed
+    by a stack walk that takes a cell's closure after those of the cells it
+    names, as the library stored its order before it kept only covers.
+    ``labels``, ``ranks`` and ``below`` are what a constructor hands the
+    core: cells by position, each naming the positions below it.  Every
+    query reads the bitsets and answers in indices of the canonical order,
+    except where it names the library's types."""
+
+    def __init__(self, labels, ranks, below):
+        n = len(labels)
+        order = sorted(range(n), key=lambda p: (ranks[p], labels[p]))
+        new = [0] * n
+        for k, p in enumerate(order):
+            new[p] = k
+        self.cells = tuple(labels[p] for p in order)
+        self.ranks = tuple(ranks[p] for p in order)
+        rel = [[new[q] for q in below[p]] for p in order]
+        if len(set(self.cells)) != n:
+            index = dict(zip(self.cells, range(n)))
+            twice = next(c for i, c in enumerate(self.cells) if index[c] != i)
+            raise CccError(f"labels collide: {twice} names two cells")
+        down = [0] * n  # 0: not reached, -1: waiting for the cells it names
+        done = []
+        stack = list(range(n - 1, -1, -1))
+        while stack:
+            i = stack.pop()
+            todo = [j for j in rel[i] if down[j] <= 0]
+            if todo:
+                if any(down[j] for j in todo):
+                    raise CoverCycleError(
+                        f"the order relation has a cycle through {self.cells[i]}")
+                down[i] = -1
+                stack += [i, *todo]
+            elif down[i] <= 0:
+                m = 1 << i
+                for j in rel[i]:
+                    m |= down[j]
+                down[i] = m
+                done.append(i)
+        up = [1 << i for i in range(n)]
+        for i in reversed(done):
+            for j in rel[i]:
+                up[j] |= up[i]
+        self.down, self.up = down, up
+        self.of_rank = {r: sum(1 << i for i in range(n) if self.ranks[i] == r)
+                        for r in set(self.ranks)}
+
+    @classmethod
+    def of_complex(cls, s: Ccc) -> "BitsetOrder":
+        """The order of ``s`` as given by its covers."""
+        return cls(s.cells, [s.rank(x) for x in s.cells],
+                   [[s.cells.index(y) for y in s.covers(x)] for x in s.cells])
+
+    def __eq__(self, other):
+        return (self.cells, self.ranks, self.down) == (other.cells, other.ranks, other.down)
+
+    def faces(self, i: int) -> tuple:
+        return tuple(_set_bits(self.down[i] & self.of_rank.get(self.ranks[i] - 1, 0)))
+
+    def cofaces(self, i: int) -> tuple:
+        return tuple(_set_bits(self.up[i] & self.of_rank.get(self.ranks[i] + 1, 0)))
+
+    def covers(self, i: int) -> tuple:
+        strict = self.down[i] ^ (1 << i)
+        under = 0
+        for j in _set_bits(strict):
+            under |= self.down[j] ^ (1 << j)
+        return tuple(_set_bits(strict & ~under))
+
+    def closure(self, ix) -> set:
+        m = 0
+        for i in ix:
+            m |= self.down[i]
+        return set(_set_bits(m))
+
+    def up_set(self, i: int) -> set:
+        return set(_set_bits(self.up[i]))
+
+    def leq(self, j: int, i: int) -> bool:
+        return bool(self.down[i] >> j & 1)
+
+    def star(self, i: int) -> tuple:
+        star = 0
+        for z in _set_bits(self.up[i]):
+            star |= self.down[z]
+        return tuple(_set_bits(self.up[i])), tuple(_set_bits(star & ~self.up[i]))
+
+    def meet(self, ix):
+        m = -1
+        for i in ix:
+            m &= self.down[i]
+        if m == 0:
+            return None
+        top = m.bit_length() - 1
+        return top if self.down[top] == m else None
+
+    def join(self, ix):
+        m = -1
+        for i in ix:
+            m &= self.up[i]
+        if m == 0:
+            return None
+        low = (m & -m).bit_length() - 1
+        return low if self.up[low] == m else None
+
+    def maximal(self) -> tuple:
+        return tuple(i for i, m in enumerate(self.up) if m == 1 << i)
+
+    def classify(self) -> Classification:
+        n = max(self.ranks)
+        maximal = sum(1 << i for i in self.maximal())
+        equi = all(self.ranks[i] == n for i in _set_bits(maximal))
+        boundary = frozenset(self.cells[i] for i in range(len(self.cells))
+                             if self.ranks[i] < n and (self.up[i] & maximal).bit_count() == 1)
+        nonsingular = (equi
+                       and all(len(self.cofaces(i)) <= 2 for i in range(len(self.cells))
+                               if self.ranks[i] == n - 1)
+                       and all(len(self.faces(i)) == 2 for i in range(len(self.cells))
+                               if self.ranks[i] == 1))
+        return Classification(equidimensional=equi, dimension=n, boundary=boundary,
+                              nonsingular=nonsingular, manifold_like=nonsingular and not boundary)
+
+    def dual(self) -> "BitsetOrder":
+        """The order reversed and the ranks complemented."""
+        n = max(self.ranks)
+        return BitsetOrder(self.cells, [n - r for r in self.ranks],
+                           [_set_bits(m ^ (1 << i)) for i, m in enumerate(self.up)])
+
+    def subcomplex(self, ix) -> "BitsetOrder":
+        """The induced order on the down-closed set of indices ``ix``; a set
+        that is not down-closed raises ValueError naming its first cell with
+        a cell below it outside the set."""
+        chosen = sorted(set(ix))
+        mask = sum(1 << i for i in chosen)
+        for i in chosen:
+            if self.down[i] & ~mask:
+                raise ValueError(f"subset is not closed: {self.cells[i]} has faces outside it")
+        at = dict(zip(chosen, range(len(chosen))))
+        return BitsetOrder([self.cells[i] for i in chosen], [self.ranks[i] for i in chosen],
+                           [[at[j] for j in _set_bits(self.down[i] ^ (1 << i))] for i in chosen])
+
+    def chains(self) -> list:
+        """Every non-empty ascending chain, shorter ones first, each chain
+        extended by the cells above its top in index order."""
+        ups = [_set_bits(m ^ (1 << i)) for i, m in enumerate(self.up)]
+        out, level = [], [(i,) for i in range(len(ups))]
+        while level:
+            out += level
+            level = [ch + (j,) for ch in level for j in ups[ch[-1]]]
+        return out
+
+    def chain_count(self) -> int:
+        ends = [0] * len(self.down)
+        for i in sorted(range(len(self.down)), key=lambda i: self.down[i].bit_count()):
+            ends[i] = 1 + sum(ends[j] for j in _set_bits(self.down[i] ^ (1 << i)))
+        return sum(ends)
+
+    def validate_axioms(self) -> ValidationReport:
+        """The axiom report, every check read off the bitsets."""
+        cells, ranks, below, above = self.cells, self.ranks, self.down, self.up
+        n = len(cells)
+        of_rank = self.of_rank
+        first = {r: min(i for i in range(n) if ranks[i] == r) for r in of_rank}
+        out = []
+        for i in range(n):
+            for j in _set_bits(below[i] & ~(1 << i) & -(1 << first[ranks[i]])):
+                out.append(AxiomViolation(
+                    "1", (cells[j], cells[i]),
+                    f"{cells[j]} < {cells[i]} but rank {ranks[j]} >= rank {ranks[i]}"))
+        out += pairwise_meet_bitsets(self)
+        for i in range(n):
+            for j in _set_bits(below[i] & ~(1 << i)):
+                if not above[j] & below[i] & of_rank.get(ranks[j] + 1, 0):
+                    out.append(AxiomViolation(
+                        "2b", (cells[j], cells[i]),
+                        f"no cell of rank {ranks[j] + 1} lies between {cells[j]} and {cells[i]}"))
+        for i in range(n):
+            if ranks[i] == 0:
+                continue
+            fm = below[i] & of_rank.get(ranks[i] - 1, 0)
+            if not fm:
+                out.append(AxiomViolation(
+                    "3", (cells[i],), f"{cells[i]} has rank {ranks[i]} but no faces"))
+                continue
+            ub = -1
+            for j in _set_bits(fm):
+                ub &= above[j]
+            low = (ub & -ub).bit_length() - 1 if ub else -1
+            if low != i or above[i] != ub:
+                out.append(AxiomViolation(
+                    "3", (cells[i],), f"{cells[i]} is not the least upper bound of its faces"))
+        for i in range(n):
+            r = ranks[i]
+            if r < 2:
+                continue
+            for j in _set_bits(below[i] & of_rank.get(r - 2, 0)):
+                between = above[j] & below[i] & of_rank.get(r - 1, 0)
+                k = between.bit_count()
+                if k != 2:
+                    out.append(AxiomViolation(
+                        "4", (cells[j], cells[i]),
+                        f"{k} cells between {cells[j]} and {cells[i]}, expected exactly two"))
+                    continue
+                p, q = _set_bits(between)
+                common = below[p] & below[q]
+                if common.bit_length() - 1 != j or below[j] != common:
+                    out.append(AxiomViolation(
+                        "4", (cells[j], cells[i]),
+                        f"the two cells between {cells[j]} and {cells[i]} "
+                        f"do not meet at {cells[j]}"))
+        return ValidationReport(passed=not out, violations=tuple(out))
+
+
+def pairwise_meet_bitsets(o: BitsetOrder) -> list:
+    """The axiom-2a violations of the order ``o``, every pair of cells
+    tested: the last common lower bound in index order must have every
+    common lower bound below it."""
+    cells, below = o.cells, o.down
+    out = []
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            common = below[i] & below[j]
+            if common and below[common.bit_length() - 1] != common:
+                out.append(AxiomViolation(
+                    "2a", (cells[i], cells[j]),
+                    f"{cells[i]} and {cells[j]} are bounded below "
+                    "but have no greatest lower bound"))
+    return out
 
 
 # -- axiom 2a ------------------------------------------------------------------
