@@ -319,8 +319,7 @@ class Ccc:
     def skeleton(self, i: int) -> "Ccc":
         if i < 0:
             raise ValueError("skeleton index must be non-negative")
-        keep = [c for c in self._cells if self.rank(c) <= i]
-        return self.subcomplex(keep)
+        return self.subcomplex(self._cells[:bisect_right(self._ranks, i)])
 
     def closure_complex(self, x: CellId) -> "Ccc":
         """The closed subcomplex of a single cell."""
@@ -592,6 +591,11 @@ def _rank_out_of_range(c, r: int) -> RankOrderError:
     return RankOrderError(f"cell {c} has rank {r}, more than {MAX_RANK}")
 
 
+def _climb_failure(lo, hi, r_lo: int, r_hi: int) -> str:
+    """The message for a cover ``(lo, hi)`` that does not raise rank."""
+    return f"cover ({lo}, {hi}) has rank {r_lo} >= {r_hi}"
+
+
 def _assemble(labels: list, ranks: list, below: list, signs=None):
     """The complex :meth:`Ccc._setup` builds, and its sign rows."""
     return Ccc.__new__(Ccc)._setup(labels, ranks, below, signs)
@@ -627,7 +631,7 @@ def build_complex(cell_ranks: Iterable[tuple], covers: Iterable[tuple]) -> Ccc:
         if i == j:
             raise CoverCycleError(f"cover ({lo}, {hi}) is a cycle")
         if ranks[i] >= ranks[j]:
-            raise RankOrderError(f"cover ({lo}, {hi}) has rank {ranks[i]} >= {ranks[j]}")
+            raise RankOrderError(_climb_failure(lo, hi, ranks[i], ranks[j]))
         below[j].append(i)
     return _assemble(labels, ranks, below)[0]
 

@@ -14,17 +14,27 @@ from __future__ import annotations
 from typing import IO
 
 from .cells import parse_cell_id
-from .complexes import MAX_CELLS, Ccc, build_complex
+from .complexes import MAX_CELLS, Ccc, _climb_failure, build_complex
 from .errors import CccError, FormatError
 
 HEADER = "ccc v1"
 
 
 def dumps(s: Ccc) -> str:
+    """The text of ``s``: its cells in canonical order, then its covers.
+    Where :func:`loads` would refuse that text, raises the same FormatError
+    before anything is written, checking in the same order: the cell
+    count, each rank, then each cover."""
     names = [str(c) for c in s.cells]  # each label is written out once
+    ranks = s._ranks
+    cell_ranks = list(zip(names, ranks))
+    _check_cells(cell_ranks)
     lines = [HEADER]
-    lines += [f"cell {name} {r}" for name, r in zip(names, s._ranks)]
-    lines += [f"cover {names[j]} {names[i]}" for i, j in _cover_indices(s)]
+    lines += [f"cell {name} {r}" for name, r in cell_ranks]
+    for i, j in _cover_indices(s):
+        if ranks[j] >= ranks[i]:
+            raise FormatError(_climb_failure(names[j], names[i], ranks[j], ranks[i]))
+        lines.append(f"cover {names[j]} {names[i]}")
     return "\n".join(lines) + "\n"
 
 
@@ -80,15 +90,23 @@ def loads(text: str) -> Ccc:
                 raise FormatError(f"unrecognized line {raw!r}")
         except (ValueError, CccError) as e:
             raise FormatError(f"line {ln}: {e}") from None
-    if len(cell_ranks) > MAX_CELLS:  # validation's bitsets of the order grow as the square
-        raise FormatError(f"the file has {len(cell_ranks)} cells, more than {MAX_CELLS}")
-    for c, r in cell_ranks:  # a rank-r cell tops a chain of r + 1 cells
-        if r >= len(cell_ranks):
-            raise FormatError(f"cell {c} has rank {r} but only {len(cell_ranks)} cells")
+    _check_cells(cell_ranks)
     try:
         return build_complex(cell_ranks, covers)
     except CccError as e:
         raise FormatError(str(e)) from None
+
+
+def _check_cells(cell_ranks: list):
+    """Raises FormatError for a file whose (cell, rank) pairs, in file
+    order, are ``cell_ranks``: for more than ``MAX_CELLS`` cells, else for
+    the first cell of rank at least the cell count."""
+    n = len(cell_ranks)
+    if n > MAX_CELLS:  # validation's bitsets of the order grow as the square
+        raise FormatError(f"the file has {n} cells, more than {MAX_CELLS}")
+    for c, r in cell_ranks:  # a rank-r cell tops a chain of r + 1 cells
+        if r >= n:
+            raise FormatError(f"cell {c} has rank {r} but only {n} cells")
 
 
 def load(fp: IO[str]) -> Ccc:

@@ -126,15 +126,8 @@ def _equidimensional(s: Ccc) -> bool:
     return all(s.rank(c) == s.dim for c in s.maximal_cells())
 
 
-def _require_equidimensional(s: Ccc):
-    if not _equidimensional(s):
-        raise NotEquidimensionalError(
-            "flags of the whole complex need all maximal cells at top rank")
-
-
 def all_flags(s: Ccc) -> list:
-    _require_equidimensional(s)
-    return [f for top in s.cells_of_rank(s.dim) for f in flags_of(s, top)]
+    return list(flag_graph(s).flags)
 
 
 class FlagGraph:
@@ -199,7 +192,9 @@ class FlagGraph:
 
 def flag_graph(s: Ccc) -> FlagGraph:
     """Adjacency graph over all flags of an equidimensional complex."""
-    _require_equidimensional(s)
+    if not _equidimensional(s):
+        raise NotEquidimensionalError(
+            "flags of the whole complex need all maximal cells at top rank")
     return FlagGraph(s, s.cells_of_rank(s.dim))
 
 
@@ -450,9 +445,9 @@ class SignTable:
         return self._flag_counts[s._index[x]]
 
     @property
-    def orientations(self) -> Mapping:
-        """Every cell's orientation, derived when it is looked up."""
-        return _Orientations(self)
+    def orientations(self) -> dict:
+        """Every cell's orientation, by cell: :meth:`orientation` of each."""
+        return {x: self.orientation(x) for x in self.complex.cells}
 
     def flipped(self, cells: Iterable[CellId]) -> "SignTable":
         """Reverse the orientation of the given cells; signs follow suit.
@@ -596,44 +591,17 @@ class _FlagColors(Mapping):
         return sum(self._table._flag_count(x) for x in self._tops)
 
 
-class _Orientations(Mapping):
-    """Read-only view of a table's orientations, each derived on lookup."""
-
-    def __init__(self, table: SignTable):
-        self._table = table
-
-    def __getitem__(self, x: CellId) -> Orientation:
-        if x not in self._table.complex:
-            raise KeyError(x)
-        return self._table.orientation(x)
-
-    def __iter__(self):
-        return iter(self._table.complex.cells)
-
-    def __len__(self):
-        return len(self._table.complex)
-
-
-def _least_flag(s: Ccc, i: int) -> tuple:
-    """The least flag below the cell at index ``i``, as cell indices:
-    every step takes the least face."""
-    flag = (i,)
-    while s._ranks[flag[-1]]:
-        flag += (s._face_ix[flag[-1]][0],)
-    return flag
-
-
 def _derive_signs(s: Ccc, orientations: Mapping) -> dict:
     """The signs of the faces of each oriented cell (cell index -> its
     orientation), one tuple per cell aligned with its face indices.  Each
     is read at the flag that continues with the face's least flag, which
     its canonical orientation colors +1."""
     cells, faces = s.cells, s._face_ix
-    least = {}  # face index -> its least flag, in labels
+    least = {}  # face index -> its least flag, in labels: the first one walked
     for x in orientations:
         for y in faces[x]:
             if y not in least:
-                least[y] = tuple(map(cells.__getitem__, _least_flag(s, y)))
+                least[y] = tuple(map(cells.__getitem__, next(_walk((y,), faces.__getitem__))))
     return {x: tuple(o.sign((cells[x],) + least[y]) for y in faces[x])
             for x, o in orientations.items()}
 

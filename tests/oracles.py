@@ -30,11 +30,13 @@ diamond and top-cell rules run over dicts keyed by labels and label
 pairs, as the library ran them before its signs moved to cell indices;
 files are read with every token through the full label parser, and their
 cells kept in label dicts, sorted and numbered before the core closes them,
-as the loader read them before it built by position; and the order a
-relation generates is kept whole, each cell's down-set and up-set as one
-bitset closed by a stack walk, with every order query and the axiom report
-read off those bitsets, as the library kept its order before it stored
-only covers.
+as the loader read them before it built by position, and written with no
+check that they can be read back; the order a relation generates is kept
+whole, each cell's down-set and up-set as one bitset closed by a stack
+walk, with every order query and the axiom report read off those
+bitsets, as the library kept its order before it stored only covers; the
+flags of a complex are listed top cell by top cell; and homology
+generators are paired as label chains, cell by cell.
 """
 
 from __future__ import annotations
@@ -50,11 +52,14 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from cellcomplexes.cells import EMPTY, CellId
-from cellcomplexes.chains import Chain, HomologyResult
+from cellcomplexes.chains import Chain, HomologyResult, free_cycle_generators
 from cellcomplexes.complexes import (AxiomViolation, Ccc, Classification, ValidationReport,
                                      simplex_vertices)
+from cellcomplexes.duality import StarMap, dual_orientations, pairing
 from cellcomplexes.errors import (CccError, CoverCycleError, DuplicateCellError, FormatError,
-                                  NotOrientableError, RankOrderError, UnknownCellError)
+                                  NotEquidimensionalError, NotOrientableError, RankOrderError,
+                                  UnknownCellError)
+from cellcomplexes.fileformat import covering_pairs
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
 from cellcomplexes.snf import (SmithNormalForm, invariant_factors, kernel_basis, matmul,
                                smith_normal_form, solve_columns)
@@ -248,6 +253,15 @@ def brute_flags(s: Ccc):
     for r in range(s.dim - 1, -1, -1):
         chains = [ch + (c,) for ch in chains for c in by_rank[r] if s.lt(c, ch[-1])]
     return sorted(chains)
+
+
+def per_top_flags(s: Ccc) -> list:
+    """The flags of an equidimensional complex, those below each top cell
+    in turn, each top listed on its own by ``flags_of``."""
+    if any(s.rank(c) != s.dim for c in s.maximal_cells()):
+        raise NotEquidimensionalError(
+            "flags of the whole complex need all maximal cells at top rank")
+    return [f for top in s.cells_of_rank(s.dim) for f in flags_of(s, top)]
 
 
 def brute_flag_adjacency(flags):
@@ -659,6 +673,22 @@ def basis_adjoint_residuals(cc, cd) -> int:
                 dz = face_walk_boundary(Chain(n - i, {z: 1}), cd).coeffs
                 bad += dx.get(z, 0) != dz.get(x, 0)
     return bad
+
+
+def label_pairing_matrix(s: Ccc, i: int):
+    """``homology_pairing_matrix`` with each pair of generators rebuilt as
+    label chains and paired cell by cell by ``pairing``."""
+    star = StarMap(dual_orientations(s))
+    cc, cd = star.source, star.target
+    gens = free_cycle_generators(cc, i)
+    dual_gens = free_cycle_generators(cd, s.dim - i)
+    mat = np.zeros((len(gens), len(dual_gens)), dtype=np.int64)
+    for a, g in enumerate(gens):
+        sigma = cc.from_vector(g, i)
+        for b, h in enumerate(dual_gens):
+            tau = cd.from_vector(h, s.dim - i)
+            mat[a, b] = pairing(s, sigma, tau)
+    return mat
 
 
 # -- dense chain maps ----------------------------------------------------------
@@ -1361,3 +1391,11 @@ def label_dict_loads(text: str) -> Ccc:
         return label_dict_build_complex(cell_ranks, covers)
     except CccError as e:
         raise FormatError(str(e)) from None
+
+
+def unchecked_dumps(s: Ccc) -> str:
+    """The ``ccc v1`` text of ``s``, written whatever it holds: its cells
+    in canonical order, then its covering pairs."""
+    lines = ["ccc v1"] + [f"cell {c} {s.rank(c)}" for c in s.cells]
+    lines += [f"cover {lo} {hi}" for lo, hi in covering_pairs(s)]
+    return "\n".join(lines) + "\n"

@@ -342,6 +342,15 @@ def test_subdivide_at_cell(torus_file):
     assert "C(h00;0)" in out
 
 
+def test_subdivide_at_writes_nothing_it_could_not_read_back(torus_file, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(fileformat, "MAX_CELLS", 40)  # torus9 has 36, the result 46
+    out = tmp_path / "out.ccc"
+    assert main(["subdivide", torus_file, "--at", "h00", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the file has 46 cells, more than 40\n"
+    assert not out.exists()
+
+
 def test_subdivide_at_unknown_cell(torus_file):
     code, _ = run_cli(["subdivide", torus_file, "--at", "zz"])
     assert code == 1

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from oracles import basis_adjoint_residuals, reversed_orientation
+from oracles import basis_adjoint_residuals, label_pairing_matrix, reversed_orientation
 
 from cellcomplexes import duality, fixtures, flags
 from cellcomplexes.cells import CellId
-from cellcomplexes.chains import Chain, boundary, chain_complex, free_cycle_generators
+from cellcomplexes.chains import (Chain, ChainComplex, boundary, chain_complex,
+                                  free_cycle_generators)
 from cellcomplexes.complexes import build_complex
 from cellcomplexes.duality import (
     DualOrientationSet,
@@ -421,3 +422,18 @@ def test_sphere_h2_pairing_unimodular(tetra_boundary):
 @pytest.mark.parametrize("degree", [-1, 3])
 def test_pairing_matrix_outside_the_degrees_is_empty(torus9, degree):
     assert homology_pairing_matrix(torus9, degree).shape == (0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CASES))
+def test_pairing_matrix_matches_the_label_chain_pairing(name):
+    s = DUAL_CASES[name]()
+    for i in range(-1, s.dim + 2):
+        got, want = homology_pairing_matrix(s, i), label_pairing_matrix(s, i)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert (got == want).all()
+
+
+def test_pairing_matrix_builds_no_label_chains(torus9, count_calls):
+    calls = count_calls((duality, "pairing"), (ChainComplex, "from_vector"))
+    assert homology_pairing_matrix(torus9, 1).shape == (2, 2)
+    assert calls == []

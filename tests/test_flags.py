@@ -6,6 +6,7 @@ from oracles import (
     brute_flag_graph,
     brute_flags,
     component_count,
+    per_top_flags,
     sign_from_flag,
     simplicial_boundary_matrices,
     two_color,
@@ -14,8 +15,9 @@ from oracles import (
 from cellcomplexes import fixtures, flags
 from cellcomplexes.cells import CellId
 from cellcomplexes.chains import chain_complex
-from cellcomplexes.complexes import from_simplicial
-from cellcomplexes.errors import NotEquidimensionalError, NotOrientableError, UnknownCellError
+from cellcomplexes.complexes import Ccc, from_simplicial, product
+from cellcomplexes.errors import (CccError, NotEquidimensionalError, NotOrientableError,
+                                  UnknownCellError)
 from cellcomplexes.flags import (
     all_flags,
     flag_graph,
@@ -58,6 +60,28 @@ def test_flag_counts(name, count):
 
 def test_flags_match_brute_force(torus9):
     assert all_flags(torus9) == brute_flags(torus9)
+
+
+PER_TOP = {
+    **{name: (lambda name=name: fixtures.fixture(name)) for name in fixtures.FIXTURES},
+    "triangle x edge": lambda: product(fixtures.simplex(2), fixtures.edge()),
+    "faceless 2-cell": lambda: Ccc({C("v"): 0, C("e"): 1, C("p"): 2, C("q"): 2},
+                                   {C("e"): [C("v")], C("p"): [C("e")]}),
+    "triangle and edge": lambda: from_simplicial([("a", "b", "c"), ("c", "d")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TOP))
+def test_all_flags_are_the_flags_below_each_top_in_turn(name):
+    s = PER_TOP[name]()
+    try:
+        want = per_top_flags(s)
+    except CccError as e:
+        with pytest.raises(CccError) as info:
+            all_flags(s)
+        assert (type(info.value), str(info.value)) == (type(e), str(e))
+    else:
+        assert all_flags(s) == want
 
 
 # -- adjacency graph ---------------------------------------------------------

@@ -4,28 +4,93 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from test_covers import _acyclic_relations
 
 from cellcomplexes import fileformat, fixtures
 from cellcomplexes.cells import CellId, parse_cell_id
-from cellcomplexes.complexes import build_complex
+from cellcomplexes.complexes import Ccc, build_complex, product
 from cellcomplexes.errors import FormatError
 from cellcomplexes.fileformat import covering_pairs, dumps, loads
-from cellcomplexes.subdivision import barycentric, stellar
+from cellcomplexes.subdivision import barycentric, barycentric_via_stellar, stellar
+
+C = CellId.of
+
+ROUND_TRIP = {
+    **{name: (lambda name=name: fixtures.fixture(name)) for name in fixtures.FIXTURES},
+    **{f"simplex{n}": (lambda n=n: fixtures.simplex(n)) for n in range(1, 5)},
+    **{f"sphere{n}": (lambda n=n: fixtures.simplex_boundary(n)) for n in range(2, 6)},
+    "torus3": lambda: fixtures.torus(3),
+    "torus3x5": lambda: fixtures.torus(3, 5),
+    "triangle x edge": lambda: product(fixtures.simplex(2), fixtures.edge()),
+}
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
 def test_round_trip(name):
-    s = fixtures.fixture(name)
-    text = dumps(s)
-    assert loads(text) == s
-    assert dumps(loads(text)) == text
+    # each input, its barycentric subdivision and, where it has one, its dual
+    s = ROUND_TRIP[name]()
+    derived = [s, barycentric(s)[0]]
+    if s.classify().manifold_like:
+        derived.append(s.dual())
+    for x in derived:
+        text = dumps(x)
+        assert loads(text) == x
+        assert dumps(loads(text)) == text
 
 
 def test_round_trip_subdivided(torus9, torus9_signs):
-    res, _ = stellar(torus9, CellId.of("h00"), torus9_signs)
-    assert loads(dumps(res.complex)) == res.complex
+    for x in torus9.cells:
+        if torus9.rank(x):
+            res, _ = stellar(torus9, x, torus9_signs)
+            assert loads(dumps(res.complex)) == res.complex
+    stages = barycentric_via_stellar(torus9, torus9_signs).stages
+    assert len(stages) > 1
+    for stage in stages:
+        assert loads(dumps(stage.complex)) == stage.complex
     b, _ = barycentric(fixtures.two_triangles())
     assert loads(dumps(b)) == b
+
+
+@st.composite
+def _relations_of_any_rank(draw):
+    """An acyclic relation on n cells with ranks drawn up to n + 1, so that
+    covers may fail to raise rank and ranks may reach the cell count."""
+    ranks, relation = draw(_acyclic_relations())
+    return {c: draw(st.integers(0, len(ranks) + 1)) for c in ranks}, relation
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations_of_any_rank())
+def test_dumps_writes_only_what_loads_reads_back(data):
+    s = Ccc(*data)
+    text = oracles.unchecked_dumps(s)
+    try:
+        want = loads(text)
+    except FormatError as e:
+        with pytest.raises(FormatError) as info:
+            dumps(s)
+        assert str(info.value) == str(e)
+    else:
+        assert dumps(s) == text and want == s
+
+
+@pytest.mark.parametrize("make, cap, message", [
+    (lambda: Ccc({C("a"): 1, C("b"): 1}, {C("b"): [C("a")]}), None,
+     "cover (a, b) has rank 1 >= 1"),
+    (lambda: Ccc({C("c"): 0, C("d"): 2}, {C("d"): [C("c")]}), None,
+     "cell d has rank 2 but only 2 cells"),
+    (lambda: fixtures.simplex(4), 30, "the file has 31 cells, more than 30"),
+], ids=["cover", "rank", "count"])
+def test_dumps_refuses_what_loads_refuses(make, cap, message, monkeypatch):
+    s = make()
+    if cap is not None:
+        monkeypatch.setattr(fileformat, "MAX_CELLS", cap)
+    with pytest.raises(FormatError) as info:
+        loads(oracles.unchecked_dumps(s))
+    assert str(info.value) == message
+    with pytest.raises(FormatError) as info:
+        dumps(s)
+    assert str(info.value) == message
 
 
 def test_cone_ids_in_files(torus9, torus9_signs):
