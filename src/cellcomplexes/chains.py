@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cells import EMPTY, CellId
-from .complexes import Ccc
+from .complexes import MAX_CELLS, Ccc
 from .errors import EmptyComplexError
 from .flags import SignTable, _require_signs
 from .snf import SparseMatrix, invariant_factors, smith_normal_form
@@ -61,10 +61,6 @@ class Chain:
     def __rmul__(self, k: int):
         return Chain(self.degree, {c: k * v for c, v in self.coeffs.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -80,7 +76,8 @@ class ChainComplex:
     ``images`` and the matrices, and every vertex maps to its generator.
     The signs are copied from the table when the complex is built, one
     tuple per cell aligned with its face indices; ``columns`` and
-    ``images`` are built from them when first read.
+    ``images`` are built from them when first read.  A top rank above
+    ``MAX_CELLS`` raises ValueError before any basis is built.
     """
 
     def __init__(self, complex: Ccc, signs: SignTable, augmented: bool = False):
@@ -90,6 +87,8 @@ class ChainComplex:
         self.signs = signs
         self.augmented = augmented
         self.dim = complex.dim
+        if self.dim > MAX_CELLS:  # one basis per degree; the axioms fill every rank to the top
+            raise ValueError(f"the top rank {self.dim} is more than {MAX_CELLS}, the cap on cells")
         self.bases = [list(complex.cells_of_rank(r)) for r in range(self.dim + 1)]
         self._rows = list(signs._rows_on(complex))
         _require_signs(complex, self._rows)
@@ -113,8 +112,6 @@ class ChainComplex:
         if i == 0:
             unit = {0: 1} if self.augmented else {}
             return SparseMatrix(len(unit), [dict(unit) for _ in self.bases[0]])
-        if i > self.dim:
-            return SparseMatrix(len(self.bases[i - 1]), [])
         s = self.complex
         start = s._rank_range(i - 1).start
         faces, rows = s._face_ix, self._rows
@@ -179,8 +176,6 @@ def coboundary(c: Chain, cc: ChainComplex) -> Chain:
     """Signed sum of cofaces; zero on maximal cells."""
     s, cols = cc.complex, cc.columns
     _check_cells(s, c.coeffs, c.degree)
-    if c.degree >= cc.dim:
-        return Chain(c.degree + 1)
     coimages = {y: {s.cells[x]: cols[x][j] for x in s._coface_ix[j]}
                 for y, j in zip(c.coeffs, map(s._i, c.coeffs))}
     return Chain(c.degree + 1, _push(c.coeffs, coimages))

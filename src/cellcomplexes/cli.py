@@ -28,12 +28,9 @@ IO_FAILURE = 2
 
 
 def _read(path: str) -> Ccc:
-    try:
-        if path == "-":
-            return fileformat.loads(sys.stdin.read())
-        return fileformat.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise FormatError(str(e)) from None
+    if path == "-":
+        return fileformat.loads(sys.stdin.read())
+    return fileformat.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _write(text: str, path: str | None):

@@ -567,7 +567,7 @@ def _closed_faces(rel, ranks, cells) -> tuple:
 # -- constructors --------------------------------------------------------
 
 MAX_CELLS = 100_000  # the most cells a fixture, product, subdivision or file may have
-MAX_RANK = 10 ** 7  # the highest rank a cell may have: homology lists each degree up to it
+MAX_RANK = 10 ** 7  # the highest rank a cell may have; a chain complex takes MAX_CELLS
 
 
 def _int_rank(c, r) -> int:

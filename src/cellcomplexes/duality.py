@@ -333,7 +333,12 @@ def pairing(s: Ccc, sigma: Chain, tau: Chain) -> int:
     """Indicator pairing of a chain with a dual chain of complementary degree."""
     if sigma.degree + tau.degree != s.dim:
         raise ValueError("pairing needs complementary degrees")
-    return sum(v * tau.coeffs.get(c, 0) for c, v in sigma.coeffs.items())
+    return _dot(sigma, tau)
+
+
+def _dot(a: Chain, b: Chain) -> int:
+    """The sum of the products of the coefficients of ``a`` and ``b`` on each cell."""
+    return sum(v * b.coeffs.get(c, 0) for c, v in a.coeffs.items())
 
 
 def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
@@ -358,8 +363,7 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
         trials = 0  # a random trial draws a degree i < n, and there is none
     rng = random.Random(seed)
     stokes_bad = 0
-    done = 0
-    while done < trials:
+    for _ in range(trials):
         i = rng.randrange(0, n)
         sigma = Chain(i + 1, {x: rng.randint(-3, 3) for x in cc.bases[i + 1]})
         tau = Chain(n - i, {z: rng.randint(-3, 3) for z in cd.bases[n - i]})
@@ -370,13 +374,8 @@ def stokes_check(s: Ccc, trials: int = 100, seed: int = 0) -> PairingReport:
         # as a cochain; the integral of the boundary equals that of the
         # coboundary image.
         omega_c = Chain(i, {x: rng.randint(-3, 3) for x in cc.bases[i]})
-        lhs = sum(d_sigma.coeffs.get(c, 0) * v
-                  for c, v in omega_c.coeffs.items())
-        d_omega = coboundary(omega_c, cc).coeffs
-        rhs = sum(d_omega.get(c, 0) * v for c, v in sigma.coeffs.items())
-        if lhs != rhs:
+        if _dot(omega_c, d_sigma) != _dot(coboundary(omega_c, cc), sigma):
             stokes_bad += 1
-        done += 1
 
     return PairingReport(dimension=n, basis_identity=identity_ok,
                          adjoint_residuals=adjoint_bad,

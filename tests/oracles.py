@@ -35,12 +35,15 @@ check that they can be read back; the order a relation generates is kept
 whole, each cell's down-set and up-set as one bitset closed by a stack
 walk, with every order query and the axiom report read off those
 bitsets, as the library kept its order before it stored only covers; the
-flags of a complex are listed top cell by top cell; and homology
-generators are paired as label chains, cell by cell.
+flags of a complex are listed top cell by top cell; homology
+generators are paired as label chains, cell by cell; and the random
+Stokes trials are counted in a loop of their own, each integral summed
+inline.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from collections import deque
 from collections.abc import Mapping
@@ -673,6 +676,37 @@ def basis_adjoint_residuals(cc, cd) -> int:
                 dz = face_walk_boundary(Chain(n - i, {z: 1}), cd).coeffs
                 bad += dx.get(z, 0) != dz.get(x, 0)
     return bad
+
+
+def looped_stokes_residuals(s: Ccc, trials: int, seed: int, boundary, coboundary) -> tuple:
+    """``stokes_check``'s two residual counts, its random trials drawn in
+    the same order (degree, sigma, tau, omega) through the given boundary
+    and coboundary, counted in a loop of their own, with each integral
+    summed inline and the basis pairs checked by face walks."""
+    star = StarMap(dual_orientations(s))
+    cc, cd = star.source, star.target
+    n = s.dim
+    adjoint_bad = basis_adjoint_residuals(cc, cd)
+    if n == 0:
+        trials = 0
+    rng = random.Random(seed)
+    stokes_bad = 0
+    done = 0
+    while done < trials:
+        i = rng.randrange(0, n)
+        sigma = Chain(i + 1, {x: rng.randint(-3, 3) for x in cc.bases[i + 1]})
+        tau = Chain(n - i, {z: rng.randint(-3, 3) for z in cd.bases[n - i]})
+        d_sigma = boundary(sigma, cc)
+        if pairing(s, d_sigma, tau) != pairing(s, sigma, boundary(tau, cd)):
+            adjoint_bad += 1
+        omega_c = Chain(i, {x: rng.randint(-3, 3) for x in cc.bases[i]})
+        lhs = sum(d_sigma.coeffs.get(c, 0) * v for c, v in omega_c.coeffs.items())
+        d_omega = coboundary(omega_c, cc).coeffs
+        rhs = sum(d_omega.get(c, 0) * v for c, v in sigma.coeffs.items())
+        if lhs != rhs:
+            stokes_bad += 1
+        done += 1
+    return adjoint_bad, stokes_bad
 
 
 def label_pairing_matrix(s: Ccc, i: int):

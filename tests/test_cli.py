@@ -208,9 +208,11 @@ def test_validate_bad_fixture(tmp_path):
     assert "axiom 4" in out and "expected exactly two" in out
 
 
-def test_validate_missing_file():
+def test_validate_missing_file(capsys):
     code, _ = run_cli(["validate", "/no/such/file.ccc"])
     assert code == 2
+    assert capsys.readouterr().err == \
+        "error: [Errno 2] No such file or directory: '/no/such/file.ccc'\n"
 
 
 def test_validate_parse_error(tmp_path):

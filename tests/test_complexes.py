@@ -140,6 +140,21 @@ def test_a_rank_above_max_rank_is_refused_before_homology_runs(run_capped):
     assert proc.stdout == "cell a has rank 100000000, more than 10000000\n"
 
 
+def test_a_top_rank_above_max_cells_is_refused_before_any_basis(run_capped):
+    # MAX_RANK admits the cell, but a chain complex lists a basis per degree
+    proc = run_capped("from cellcomplexes.cells import CellId\n"
+                      "from cellcomplexes.chains import homology\n"
+                      "from cellcomplexes.complexes import build_complex\n"
+                      "from cellcomplexes.flags import SignTable\n"
+                      "s = build_complex([(CellId.of('a'), 10 ** 7)], [])\n"
+                      "try:\n"
+                      "    homology(s, SignTable(s, {}))\n"
+                      "except ValueError as e:\n"
+                      "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the top rank 10000000 is more than 100000, the cap on cells\n"
+
+
 def test_ranks_out_of_range_name_the_least_rank_and_label():
     for build in _both_front_ends({C("a"): MAX_RANK + 1}):
         with pytest.raises(RankOrderError, match="^cell a has rank 10000001, more than 10000000$"):

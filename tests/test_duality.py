@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from oracles import basis_adjoint_residuals, label_pairing_matrix, reversed_orientation
+from oracles import (basis_adjoint_residuals, label_pairing_matrix, looped_stokes_residuals,
+                     reversed_orientation)
 
 from cellcomplexes import duality, fixtures, flags
 from cellcomplexes.cells import CellId
@@ -34,7 +35,7 @@ def torus_dos(torus9):
 
 def test_top_cells_have_trivial_dual_orientation(torus9, torus_dos):
     for f in torus9.cells_of_rank(2):
-        colors = torus_dos.dual_signs.orientations[f].colors
+        colors = torus_dos.dual_signs.orientation(f).colors
         assert colors == {(f,): 1}
 
 
@@ -79,7 +80,7 @@ def test_omega_that_leaves_a_flag_uncolored_is_refused(torus9):
 def test_dual_orientations_are_orientations(torus9, torus_dos):
     sd = torus_dos.dual_complex
     for x in torus9.cells:
-        omega = torus_dos.dual_signs.orientations[x]
+        omega = torus_dos.dual_signs.orientation(x)
         g = flag_graph(sd.closure_complex(x))
         for f in g.flags:
             for nb in g.neighbors[f]:
@@ -98,8 +99,8 @@ def test_dual_orientation_independent_of_lower_flag(torus9, torus_dos):
             for gamma1 in flags_of(torus9, x):
                 full = tuple(reversed(gamma2))[:-1] + gamma1
                 vals.add(omega.sign(full) *
-                         torus_dos.signs.orientations[x].sign(gamma1))
-            assert vals == {torus_dos.dual_signs.orientations[x].sign(gamma2)}
+                         torus_dos.signs.orientation(x).sign(gamma1))
+            assert vals == {torus_dos.dual_signs.orientation(x).sign(gamma2)}
 
 
 def test_dual_orientations_need_manifold_like(tetra_solid):
@@ -374,6 +375,29 @@ def test_stokes_takes_one_coboundary_per_trial(torus9, count_calls):
     calls = count_calls((duality, "coboundary"))
     assert stokes_check(torus9, trials=25).passed
     assert len(calls) == 25
+
+
+def _drop_one(op):
+    """``op`` with the first coefficient of each result it returns dropped."""
+    def dropping(c, cc):
+        out = op(c, cc)
+        return Chain(out.degree, dict(list(out.coeffs.items())[1:]))
+    return dropping
+
+
+@pytest.mark.parametrize("name", ["boundary", "coboundary"])
+@pytest.mark.parametrize("make", [fixtures.torus9, lambda: fixtures.simplex_boundary(4)],
+                         ids=["torus9", "sphere4"])
+def test_stokes_counts_the_residuals_of_a_broken_operator(monkeypatch, make, name):
+    # a boundary or coboundary that loses a coefficient makes residuals,
+    # which stokes_check counts trial by trial as the looped oracle does
+    s = make()
+    monkeypatch.setattr(duality, name, _drop_one(getattr(duality, name)))
+    for seed in range(5):
+        rep = stokes_check(s, seed=seed)
+        want = looped_stokes_residuals(s, 100, seed, duality.boundary, duality.coboundary)
+        assert (rep.adjoint_residuals, rep.stokes_residuals) == want
+        assert want[1] > 0 and (want[0] > 0) == (name == "boundary")
 
 
 def test_stokes_rejects_negative_trials(torus9):

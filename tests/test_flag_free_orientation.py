@@ -133,7 +133,7 @@ def assert_same_orientations(s):
         assert table.signs == want.signs
         assert table.vertex_signs == want.vertex_signs
         for x in s.cells:
-            assert table.orientations[x] == want.orientations[x]
+            assert table.orientation(x) == want.orientation(x)
     omega, err = _outcome(flags.orient, s)
     want, want_err = _outcome(flag_orient, s)
     assert err == want_err

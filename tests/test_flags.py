@@ -210,7 +210,11 @@ def test_orient_torus_reverified(torus9):
 
 def test_vertex_orientations_are_positive(torus9, torus9_signs):
     for v in torus9.cells_of_rank(0):
-        assert torus9_signs.orientations[v].sign((v,)) == 1
+        assert torus9_signs.orientation(v).sign((v,)) == 1
+
+
+def test_orientations_hold_each_cells_orientation(torus9, torus9_signs):
+    assert torus9_signs.orientations == {x: torus9_signs.orientation(x) for x in torus9.cells}
 
 
 def test_edge_signs_sum_to_zero(torus9, torus9_signs):
@@ -223,8 +227,8 @@ def test_sign_well_defined_over_all_flags(torus9, torus9_signs):
     for x in torus9.cells:
         for y in torus9.faces(x):
             vals = {
-                sign_from_flag(torus9_signs.orientations[x],
-                               torus9_signs.orientations[y], f)
+                sign_from_flag(torus9_signs.orientation(x),
+                               torus9_signs.orientation(y), f)
                 for f in flags_of(torus9, x) if f[1] == y
             }
             assert vals == {torus9_signs.s(x, y)}
@@ -255,7 +259,7 @@ def test_restriction_is_an_orientation(torus9, torus9_signs):
     # restricting a cell's orientation to a face by extending flags upward
     for x in torus9.cells_of_rank(2):
         for y in torus9.faces(x):
-            omega_x = torus9_signs.orientations[x]
+            omega_x = torus9_signs.orientation(x)
             restricted = {f: omega_x.sign((x,) + f) for f in flags_of(torus9, y)}
             g = flag_graph(torus9.closure_complex(y))
             for f in g.flags:

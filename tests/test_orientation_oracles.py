@@ -62,7 +62,7 @@ def assert_matches(table, s, colors):
     assert table.complex == s
     assert table.signs == signs_from_colors(s, colors)
     for x in s.cells:
-        assert table.orientations[x].colors == colors[x]
+        assert table.orientation(x).colors == colors[x]
 
 
 def _half_flipped(s, seed=0):
@@ -141,7 +141,7 @@ def test_restrict_keeps_signs_and_orientations(torus9, torus9_signs):
         assert small.signs == {(x, y): v for (x, y), v in table.signs.items()
                                if x in sub and y in sub}
         for x in sub.cells:
-            assert small.orientations[x] == table.orientations[x]
+            assert small.orientation(x) == table.orientation(x)
 
 
 @pytest.mark.parametrize("name,flipped", [("torus9", False), ("torus9", True),

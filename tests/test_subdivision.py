@@ -20,7 +20,7 @@ from oracles import (
     preorder_key,
 )
 
-from cellcomplexes import fixtures, subdivision
+from cellcomplexes import complexes, fixtures, subdivision
 from cellcomplexes.cells import CellId, EMPTY, nest, parse_cell_id
 from cellcomplexes.chains import Chain, chain_complex, homology, homology_of, is_acyclic
 from cellcomplexes.complexes import Ccc, build_complex, euler_characteristic
@@ -125,7 +125,7 @@ def test_transported_orientations_are_valid(torus9, torus9_signs):
         if sx.rank(x) == 0:
             continue
         g = flag_graph(sx.closure_complex(x))
-        omega = signs.orientations[x]
+        omega = signs.orientation(x)
         for f in g.flags:
             for nb in g.neighbors[f]:
                 assert omega.sign(f) == -omega.sign(nb)
@@ -175,6 +175,32 @@ def test_stellar_preserves_acyclic_cells(torus9, torus9_signs):
     center = res.new_cells[EMPTY]
     star = sx.star(center)
     assert is_acyclic(star, signs.restrict(star))
+
+
+def _triangle(*extra):
+    """The triangle abc with its faces, plus the given cells of rank 1 without faces."""
+    tri = [(C(v), 0) for v in "abc"] + [(C(e), 1) for e in ("ab", "bc", "ac")] + [(C("t"), 2)]
+    pairs = [(C(v), C(e)) for e in ("ab", "bc", "ac") for v in e]
+    pairs += [(C(e), C("t")) for e in ("ab", "bc", "ac")]
+    return build_complex(tri + [(C(g), 1) for g in extra], pairs)
+
+
+def _all_plus(s):
+    return SignTable(s, {(x, y): 1 for x in s.cells for y in s.faces(x)})
+
+
+def test_a_faceless_cell_elsewhere_leaves_the_cone_rule_alone(count_calls):
+    # only the cones over vertices name the apex, so the relation handed to
+    # the builder stays graded and is not closed
+    s, alone = _triangle("g"), _triangle()
+    calls = count_calls((complexes, "_closed_faces"))
+    res, signs = stellar(s, C("t"), _all_plus(s))
+    assert calls == []
+    ref, ref_signs = stellar(alone, C("t"), _all_plus(alone))
+    assert sorted(dumps(res.complex).splitlines()) == \
+        sorted(dumps(ref.complex).splitlines() + ["cell g 1"])
+    assert dict(signs.signs) == dict(ref_signs.signs)
+    assert signs.vertex_signs == ref_signs.vertex_signs
 
 
 # -- sequences and the disjoint-star description ---------------------------------
@@ -244,6 +270,12 @@ def test_apply_rejects_a_cell_of_another_rank(torus9, torus9_signs):
     f = phi(torus9, C("h00"), torus9_signs)
     with pytest.raises(ValueError, match=r"cell v00 does not have rank 1"):
         f.apply(Chain(1, {C("h11"): 1, C("v00"): 2}))
+    # also outside degrees 0..dim, as boundary and coboundary refuse it
+    for degree in (-1, 0, 3):
+        with pytest.raises(ValueError, match=f"cell h00 does not have rank {degree}"):
+            f.apply(Chain(degree, {C("h00"): 1}))
+    with pytest.raises(UnknownCellError, match="cell zz is not in the complex"):
+        f.apply(Chain(5, {C("zz"): 3}))
 
 
 def test_matrix_is_empty_outside_its_degrees(torus9, torus9_signs):
@@ -486,7 +518,7 @@ def test_orientation_is_product_of_signs_down_the_flag(torus9, torus9_signs):
             prod = 1
             for a, b in zip(gamma, gamma[1:]):
                 prod *= torus9_signs.s(a, b)
-            assert prod == torus9_signs.orientations[x].sign(gamma)
+            assert prod == torus9_signs.orientation(x).sign(gamma)
 
 
 # -- the tower ---------------------------------------------------------------------------
@@ -666,7 +698,7 @@ def test_nested_cone_orientations_are_valid(torus9, torus9_signs):
     assert deep
     for x in deep[:12]:
         g = flag_graph(final.closure_complex(x))
-        omega = signs.orientations[x]
+        omega = signs.orientation(x)
         for f in g.flags:
             for nb in g.neighbors[f]:
                 assert omega.sign(f) == -omega.sign(nb)
