@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cells import EMPTY, CellId
-from .complexes import MAX_CELLS, Ccc
+from .complexes import MAX_CELLS, Ccc, _as_int
 from .errors import EmptyComplexError
 from .flags import SignTable, _require_signs
 from .snf import SparseMatrix, invariant_factors, smith_normal_form
@@ -39,9 +39,13 @@ class Chain:
 
     def __post_init__(self):
         given = self.coeffs
-        self.coeffs = {c: int(v) for c, v in given.items() if v}
-        if not self.coeffs.items() <= given.items():  # int(v) != v
-            c = next(c for c, v in self.coeffs.items() if given[c] != v)
+        try:
+            self.coeffs = {c: int(v) for c, v in given.items() if v != 0}
+            integral = self.coeffs.items() <= given.items()  # no int(v) != v
+        except (TypeError, ValueError, OverflowError):  # int(v) failed
+            integral = False
+        if not integral:
+            c = next(c for c, v in given.items() if _as_int(v) is None)
             raise ValueError(f"cell {c} has the coefficient {given[c]}, not an integer")
 
     def __add__(self, other):
@@ -106,17 +110,14 @@ class ChainComplex:
 
     def sparse_boundary(self, i: int) -> SparseMatrix:
         """The boundary from degree ``i`` to ``i - 1``, kept sparse, with
-        its columns read off the index tuples."""
-        if not 0 <= i <= self.dim + 1:
-            return SparseMatrix(0, [])
-        if i == 0:
-            unit = {0: 1} if self.augmented else {}
-            return SparseMatrix(len(unit), [dict(unit) for _ in self.bases[0]])
+        its columns read off the index tuples: cells of rank ``i - 1`` by
+        cells of rank ``i``, so empty on either side outside 0..dim."""
         s = self.complex
-        start = s._rank_range(i - 1).start
-        faces, rows = s._face_ix, self._rows
-        cols = [dict(zip([y - start for y in faces[x]], rows[x])) for x in s._rank_range(i)]
-        return SparseMatrix(len(self.bases[i - 1]), cols)
+        if i == 0 and self.augmented:
+            return SparseMatrix(1, [{0: 1} for _ in s._rank_range(0)])
+        lo, faces, rows = s._rank_range(i - 1), s._face_ix, self._rows
+        cols = [dict(zip([y - lo.start for y in faces[x]], rows[x])) for x in s._rank_range(i)]
+        return SparseMatrix(len(lo), cols)
 
     def boundary_matrix(self, i: int) -> np.ndarray:
         return np.asarray(self.sparse_boundary(i))

@@ -99,7 +99,7 @@ class Ccc:
     """
 
     __slots__ = ("_cells", "_ranks", "_index", "_face_ix", "_coface_ix",
-                 "_cover_ix", "_cocover_ix", "_dim")
+                 "_cover_ix", "_cocover_ix")
 
     def __init__(self, ranks: Mapping[CellId, int], relation: Mapping[CellId, Iterable[CellId]]):
         labels = list(ranks)  # _setup sorts them
@@ -157,7 +157,6 @@ class Ccc:
             self._cover_ix, self._cocover_ix = face_ix, coface_ix
         else:
             self._cover_ix, self._cocover_ix = cover_ix, _inverse(cover_ix)
-        self._dim = max(self._ranks) if cells else -1
         zero = repeat(0)
         return self, None if signs is None else [
             signs[p] if rs == fs else tuple(map(dict(zip(rs, signs[p])).get, fs, zero))
@@ -172,7 +171,7 @@ class Ccc:
     @property
     def dim(self) -> int:
         """Largest rank present; -1 for the empty complex."""
-        return self._dim
+        return self._ranks[-1] if self._ranks else -1
 
     def __len__(self):
         return len(self._cells)
@@ -226,14 +225,10 @@ class Ccc:
     def covers(self, x: CellId) -> tuple:
         """The cells below ``x`` with no cell strictly between: its faces,
         when the axioms hold."""
-        return self._labels(self._covers(self._i(x)))
+        return self._labels(self._cover_ix[self._i(x)])
 
     def _labels(self, ix) -> tuple:
         return tuple(map(self._cells.__getitem__, ix))
-
-    def _covers(self, i: int) -> tuple:
-        """The indices of the covers of the cell at index ``i``, ascending."""
-        return self._cover_ix[i]
 
     def maximal_cells(self) -> tuple:
         return tuple(c for c, up in zip(self._cells, self._cocover_ix) if not up)
@@ -330,7 +325,7 @@ class Ccc:
     def classify(self) -> Classification:
         if not self._cells:
             raise EmptyComplexError("classification of the empty complex is undefined")
-        n, ups = self._dim, self._cocover_ix
+        n, ups = self.dim, self._cocover_ix
         equi = all(r == n for r, up in zip(self._ranks, ups) if not up)
         # the maximal cells above each cell, counted as far as two
         tops = [set()] * len(ups)
@@ -363,7 +358,7 @@ class Ccc:
         cls = self.classify()
         if not cls.manifold_like:
             raise NotManifoldLikeError("dual is defined only for manifold-like complexes")
-        return _assemble(self._cells, [self._dim - r for r in self._ranks], self._cocover_ix)[0]
+        return _assemble(self._cells, [cls.dimension - r for r in self._ranks], self._cocover_ix)[0]
 
     # -- axiom validation ------------------------------------------------
 
@@ -576,13 +571,19 @@ def _int_rank(c, r) -> int:
     rank ``r`` with ``int(r) != r``."""
     if not isinstance(c, CellId):
         raise FormatError(f"cell label {c!r} is not a CellId")
-    try:
-        k = int(r)
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != r:
+    k = _as_int(r)
+    if k is None:
         raise RankOrderError(f"cell {c} has rank {r!r}, not an integer")
     return k
+
+
+def _as_int(v) -> int | None:
+    """``int(v)`` when that equals ``v``; None when it differs or fails."""
+    try:
+        k = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return k if k == v else None
 
 
 def _rank_out_of_range(c, r: int) -> RankOrderError:
@@ -651,8 +652,7 @@ def product(x: Ccc, y: Ccc) -> Ccc:
                 raise ValueError("product factors must have plain named cells "
                                  "without '*'")
     m = len(y)  # the pair of the cells at i in x and j in y sits at i * m + j
-    cx = list(map(x._covers, range(len(x))))
-    cy = list(map(y._covers, range(m)))
+    cx, cy = x._cover_ix, y._cover_ix
     return _assemble([CellId.of(f"{a}*{b}") for a in x.cells for b in y.cells],
                      [r + q for r in x._ranks for q in y._ranks],
                      [[k * m + j for k in cx[i]] + [i * m + k for k in cy[j]]

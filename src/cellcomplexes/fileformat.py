@@ -53,7 +53,7 @@ def _cover_indices(s: Ccc):
     """The index pairs (x, y) of :func:`covering_pairs`."""
     cells = s.cells
     return [(i, j) for i in range(len(cells))
-            for j in sorted(s._covers(i), key=cells.__getitem__)]
+            for j in sorted(s._cover_ix[i], key=cells.__getitem__)]
 
 
 def loads(text: str) -> Ccc:

@@ -57,7 +57,7 @@ orientations look cells up by label.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import ItemsView, Mapping, MutableMapping
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -144,7 +144,7 @@ class FlagGraph:
     """
 
     def __init__(self, s: Ccc, tops: Iterable[CellId]):
-        self._cells = s.cells
+        self._labels = s._labels
         self._tops = tuple(s._i(t) for t in tops)
         _require_faces(s, self._tops)
         self._faces, self._cofaces = s._face_ix, s._coface_ix
@@ -173,16 +173,13 @@ class FlagGraph:
         out.sort()
         return out
 
-    def _in_cells(self, f: tuple) -> Flag:
-        return tuple(map(self._cells.__getitem__, f))
-
     @cached_property
     def flags(self) -> tuple:
-        return tuple(map(self._in_cells, self._index_flags()))
+        return tuple(map(self._labels, self._index_flags()))
 
     @cached_property
     def neighbors(self) -> dict:  # Flag -> tuple of adjacent flags
-        return {self._in_cells(f): tuple(map(self._in_cells, self._adjacent(f)))
+        return {self._labels(f): tuple(map(self._labels, self._adjacent(f)))
                 for f in self._index_flags()}
 
     @property
@@ -229,8 +226,8 @@ def _two_color(graph: FlagGraph):
                     queue.append(v)
                 elif cv == cu:
                     cycle = _odd_cycle(u, v, parent)
-                    return None, list(map(graph._in_cells, cycle)), components
-    return {graph._in_cells(f): c for f, c in colors.items()}, None, components
+                    return None, list(map(graph._labels, cycle)), components
+    return {graph._labels(f): c for f, c in colors.items()}, None, components
 
 
 def _odd_cycle(u, v, parent):
@@ -295,9 +292,6 @@ class Orientation:
 
     def sign(self, flag: Flag) -> int:
         return self.colors[flag]
-
-    def __eq__(self, other):
-        return isinstance(other, Orientation) and dict(self.colors) == dict(other.colors)
 
 
 def _color_or_raise(graph: FlagGraph, what: str, cell=None) -> Orientation:
@@ -542,27 +536,16 @@ class _Signs(MutableMapping):
     def __delitem__(self, pair):
         self._put(*self._find(pair), 0)
 
-    def _items(self):
+    def __iter__(self):
         s = self._table.complex
         cells = s.cells
         for x, fs, row in zip(cells, s._face_ix, self._table._rows):
             for y, v in zip(fs, row):
                 if v:
-                    yield (x, cells[y]), v
-
-    def __iter__(self):
-        return (pair for pair, _ in self._items())
+                    yield x, cells[y]
 
     def __len__(self):
         return sum(len(row) - row.count(0) for row in self._table._rows)
-
-    def items(self):
-        return _SignItems(self)
-
-
-class _SignItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._items()
 
 
 class _FlagColors(Mapping):

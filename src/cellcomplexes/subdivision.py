@@ -83,13 +83,11 @@ class ChainMap:
                 for x, col in zip(self.source.complex.cells, self.columns)}
 
     def matrix(self, d: int):
-        """Dense (len(target.bases[d]), len(source.bases[d])) array; 0 x 0
-        outside degrees 0..dim."""
-        if not 0 <= d <= self.source.dim:
-            return np.asarray(SparseMatrix(0, []))
-        src, start = self.source.complex._rank_range(d), self.target.complex._rank_range(d).start
-        return np.asarray(SparseMatrix(len(self.target.bases[d]), [
-            {y - start: v for y, v in self.columns[x].items()} for x in src]))
+        """Dense array of (target cells of rank d, source cells of rank d),
+        in every degree: empty on a side without cells of rank d."""
+        rows, src = self.target.complex._rank_range(d), self.source.complex._rank_range(d)
+        return np.asarray(SparseMatrix(len(rows), [
+            {y - rows.start: v for y, v in self.columns[x].items()} for x in src]))
 
     def apply(self, chain: Chain) -> Chain:
         _check_cells(self.source.complex, chain.coeffs, chain.degree)
@@ -144,7 +142,7 @@ def _subdivide(s: Ccc, points, signs: SignTable):
     # (only where the axioms fail): the order closes covers
     at, named = [-1] * len(s), [()] * len(s)
     for k, i in enumerate(old):
-        at[i], cv = k, s._covers(i)
+        at[i], cv = k, s._cover_ix[i]
         named[i] = faces[i] if cv == faces[i] else faces[i] + cv
     pos = dict(zip(cones, itertools.count(len(old))))
     labels = [cells[i] for i in old] + list(cones.values())

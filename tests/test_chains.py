@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,9 +158,10 @@ def test_boundaries_reject_a_cell_not_in_the_complex(torus9, torus9_signs, op):
         op(Chain(1, {C("h00"): 1, C("zz"): 1}), cc)
 
 
-@pytest.mark.parametrize("v", [1.7, 0.5, -2.5])
+@pytest.mark.parametrize("v", [1.7, 0.5, -2.5, None, "", [], float("nan"), float("inf"), [1]])
 def test_chain_rejects_a_non_integer_coefficient(v):
-    with pytest.raises(ValueError, match=f"cell h00 has the coefficient {v}, not an integer"):
+    message = re.escape(f"cell h00 has the coefficient {v}, not an integer")
+    with pytest.raises(ValueError, match=message):
         Chain(1, {C("h11"): 1, C("h00"): v})
 
 

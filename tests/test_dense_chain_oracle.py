@@ -40,10 +40,10 @@ def _check_against_dense(s, signs, quotients=True):
     for augmented in (False, True):
         cc = chain_complex(s, signs, augmented)
         mats = dense_boundary_matrices(s, signs, augmented)
-        for i in range(-1, s.dim + 2):
+        for i in range(-2, s.dim + 4):
             got = cc.boundary_matrix(i)
             want = mats[i] if 0 <= i <= s.dim else np.zeros(
-                (sizes[i - 1] if 1 <= i else 0, 0), dtype=np.int64)
+                (sizes[i - 1] if 1 <= i <= s.dim + 1 else 0, 0), dtype=np.int64)
             assert got.dtype == np.int64 and got.shape == want.shape
             assert (got == want).all()
         assert homology_of(cc) == dense_homology(sizes, mats)

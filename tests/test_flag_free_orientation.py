@@ -247,6 +247,21 @@ def test_flag_colors_view():
         assert len(table.orientation(c).colors) == len(flags.flags_of(s, c))
 
 
+def test_orientations_are_equal_when_their_colors_are():
+    s = fixtures.simplex_boundary(3)
+    derived = flags.orient(s)  # colors derived on lookup
+    listed = flags.Orientation(dict(derived.colors))
+    assert not isinstance(derived.colors, dict)
+    assert derived == listed and listed == derived
+    f = next(iter(listed.colors))
+    flipped = flags.Orientation({**listed.colors, f: -listed.colors[f]})
+    assert derived != flipped and flipped != derived
+    assert derived != listed.colors and listed != 1
+    for o in (derived, listed):
+        with pytest.raises(TypeError):
+            hash(o)
+
+
 # -- the flag graph --------------------------------------------------------------
 
 

@@ -59,7 +59,7 @@ def assert_walks_match(s: Ccc, o: BitsetOrder) -> None:
     assert s.cells == o.cells and s._ranks == o.ranks
     assert s._face_ix == tuple(map(o.faces, range(n)))
     assert s._coface_ix == tuple(map(o.cofaces, range(n)))
-    assert tuple(map(s._covers, range(n))) == tuple(map(o.covers, range(n)))
+    assert s._cover_ix == tuple(map(o.covers, range(n)))
     cells = s.cells
     labels = lambda ix: {cells[i] for i in ix}
     some = _sample(n)

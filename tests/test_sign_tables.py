@@ -45,6 +45,23 @@ def test_signs_view_lists_every_pair_in_canonical_order(torus3):
     assert table.signs == dict(table.signs.items())
 
 
+def test_signs_items_pair_each_pair_with_its_sign(torus3):
+    s, table = torus3
+    view = table.signs
+
+    def check():
+        assert list(view.items()) == [(p, view[p]) for p in view]
+        assert list(view) == [p for p in _canonical_pairs(s) if p in view]
+
+    check()
+    pair = _canonical_pairs(s)[30]
+    view[pair] = -view[pair]
+    check()
+    del view[pair]
+    check()
+    assert pair not in dict(view.items()) and len(list(view.items())) == 71
+
+
 def test_library_tables_iterate_in_canonical_order():
     s = fixtures.simplex_boundary(4)
     table = orient_all_cells(s)

@@ -284,6 +284,26 @@ def test_matrix_is_empty_outside_its_degrees(torus9, torus9_signs):
         assert f.matrix(d).shape == (0, 0)
 
 
+def test_matrix_between_complexes_of_different_dimensions():
+    # the collapse of the tetrahedron's boundary onto a point sends every
+    # vertex to the point and every other cell to 0; the inclusion sends
+    # the point to the first vertex
+    big, pt = fixtures.tetrahedron_boundary(), fixtures.point()
+    cb, cp = chain_complex(big, orient_all_cells(big)), chain_complex(pt, SignTable(pt, {}))
+    collapse = ChainMap(cb, cp, [{} if r else {0: 1} for r in big._ranks])
+    inclusion = ChainMap(cp, cb, [{0: 1}])
+    assert [collapse.matrix(d).shape for d in (1, 2)] == [(0, 6), (0, 4)]
+    assert [inclusion.matrix(d).shape for d in (1, 2)] == [(6, 0), (4, 0)]
+    for f in (collapse, inclusion):
+        assert f.is_chain_map()
+        src, tgt = f.source.complex, f.target.complex
+        for d in range(-1, 5):
+            xs, ys = src.cells_of_rank(d), tgt.cells_of_rank(d)
+            m = f.matrix(d)
+            assert m.shape == (len(ys), len(xs))
+            assert m.tolist() == [[f.images[x].get(y, 0) for x in xs] for y in ys]
+
+
 def test_then_rejects_maps_that_do_not_meet(torus9, torus9_signs):
     f, g = phi(torus9, C("h00"), torus9_signs), phi(torus9, C("h11"), torus9_signs)
     with pytest.raises(ValueError, match="chain maps do not compose: bases differ"):
