@@ -1,8 +1,12 @@
-"""Integer homology and cohomology through Smith normal form.
+"""Integer homology and cohomology through a Morse complex.
 
-Boundary matrices are filled with the incidence signs; kernels, images
-and torsion come from exact integer reduction.  The result per degree is
-a free rank plus a divisibility chain of torsion coefficients.
+Boundary matrices are filled with the incidence signs.  A coreduction
+pairs almost every cell with a face along an incidence of sign +1 or -1,
+checking as it goes that the boundary squares to zero and that the
+matching is acyclic; the few critical cells left span a Morse complex
+with the same homology, whose torsion comes from an exact integer Smith
+normal form.  The result per degree is a free rank plus a divisibility
+chain of torsion coefficients.
 """
 
 from cellcomplexes import (

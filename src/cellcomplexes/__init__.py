@@ -2,7 +2,7 @@
 
 Finite ranked posets modelling gluings of convex polyhedral cells:
 axiom checking, flag-based orientability with odd-cycle certificates,
-integer cellular (co)homology through Smith normal form, stellar and
+integer cellular (co)homology through a coreduced Morse complex, stellar and
 barycentric subdivision with explicit chain maps, dual complexes, and a
 machine-checked homology/cohomology duality pipeline with intersection
 and integration pairings.

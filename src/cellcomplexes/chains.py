@@ -2,9 +2,20 @@
 
 The boundary of a cell is the signed sum of its faces with the incidence
 signs of a :class:`~cellcomplexes.flags.SignTable`; the coboundary is the
-transpose.  Homology is computed degree by degree from Smith normal forms
-and reported in invariant-factor form: a free rank (Betti number) plus a
-divisibility chain of torsion coefficients.
+transpose.  Homology is reported in invariant-factor form: a free rank
+(Betti number) plus a divisibility chain of torsion coefficients.
+
+Every homology and cohomology goes through one reduction, ``_morse``.  A
+coreduction (Mrozek-Batko) pairs cells with faces along incidences of
+sign +1 or -1, which are invertible over the integers, and leaves a few
+critical cells; their Morse complex has the same homology (Forman), and
+the Smith normal form of its boundary costs almost nothing.  The
+reduction checks its certificate as it runs, at linear cost: the
+boundary squares to zero on the cells reduced, each matched incidence is
++1 or -1, and a pair forms only when every other face of its coface is
+gone, so the matching is acyclic.  A table whose boundary does not square
+to zero has no homology, and ValueError names the first cell where it
+fails.
 
 Boundary columns come from the index tuples: the table's signs of each
 cell, aligned with its face indices.  Cells are sorted by rank, so the
@@ -15,9 +26,12 @@ and the label-keyed boundaries are built when first read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from heapq import heappop, heappush
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,9 +91,10 @@ class ChainComplex:
     ``boundary_matrix(i)`` maps degree ``i`` to ``i - 1``; entry ``[y, x]``
     is ``s(x, y)``.  With ``augmented=True`` a degree ``-1`` group
     generated by the empty cell, which has no index, is appended to
-    ``images`` and the matrices, and every vertex maps to its generator.
-    The signs are copied from the table when the complex is built, one
-    tuple per cell aligned with its face indices; ``columns`` and
+    ``images`` and the matrices, and every vertex maps to its generator
+    times the vertex's sign in the table, ``s(v, EMPTY)``.  The signs are
+    copied from the table when the complex is built, one tuple per cell
+    aligned with its face indices and one sign per vertex; ``columns`` and
     ``images`` are built from them when first read.  A top rank above
     ``MAX_CELLS`` raises ValueError before any basis is built.
     """
@@ -96,6 +111,7 @@ class ChainComplex:
         self.bases = [list(complex.cells_of_rank(r)) for r in range(self.dim + 1)]
         self._rows = list(signs._rows_on(complex))
         _require_signs(complex, self._rows)
+        self._vertex_signs = [signs.vertex_signs.get(v, 1) for v in self.bases[0]]
 
     @cached_property
     def columns(self) -> list:
@@ -104,9 +120,10 @@ class ChainComplex:
     @cached_property
     def images(self) -> dict:
         cells = self.complex.cells
-        return {x: {EMPTY: 1} if self.augmented and not r
-                else {cells[y]: v for y, v in col.items()}
-                for x, r, col in zip(cells, self.complex._ranks, self.columns)}
+        out = {x: {cells[y]: v for y, v in col.items()} for x, col in zip(cells, self.columns)}
+        if self.augmented:
+            out.update({v: {EMPTY: e} for v, e in zip(self.bases[0], self._vertex_signs)})
+        return out
 
     def sparse_boundary(self, i: int) -> SparseMatrix:
         """The boundary from degree ``i`` to ``i - 1``, kept sparse, with
@@ -114,7 +131,7 @@ class ChainComplex:
         cells of rank ``i``, so empty on either side outside 0..dim."""
         s = self.complex
         if i == 0 and self.augmented:
-            return SparseMatrix(1, [{0: 1} for _ in s._rank_range(0)])
+            return SparseMatrix(1, [{0: e} for e in self._vertex_signs])
         lo, faces, rows = s._rank_range(i - 1), s._face_ix, self._rows
         cols = [dict(zip([y - lo.start for y in faces[x]], rows[x])) for x in s._rank_range(i)]
         return SparseMatrix(len(lo), cols)
@@ -208,12 +225,132 @@ class HomologyResult:
                 and all(not t for t in self.torsion[1:]))
 
 
-def _groups(sizes, mats, torsion_from: int) -> HomologyResult:
-    """Groups of ..-> C_i -> C_{i-1} -> .. where mats[i] is D_i: rank
-    n_i - r_i - r_{i+1} plus the non-unit invariant factors of
-    D_{i + torsion_from}, which is D_{i+1} for homology and D_i for
-    cohomology."""
-    factors = [invariant_factors(m) if all(m.shape) else [] for m in mats] + [[]]
+class _MorseComplex(NamedTuple):
+    """``critical[r]`` lists the critical cells of rank ``r`` by index, for
+    ``r`` from 0 to dim and, as the last entry, -1, which holds the empty
+    cell (index ``len(complex)``) when it is in the reduction.  ``pairs``
+    holds each matched (face, coface, incidence sign) in pairing order, and
+    ``boundaries[r]`` maps the critical cells of rank ``r`` to those of
+    rank ``r - 1``."""
+
+    critical: list
+    pairs: list
+    boundaries: list
+
+
+def _morse(cc: ChainComplex, cells, augmented: bool = False) -> _MorseComplex:
+    """Coreduce the chain complex restricted to the cell indices ``cells``
+    (their quotient by the other cells) to the Morse complex of its
+    critical cells.  With ``augmented`` the empty cell is a cell of rank
+    -1, the one face of every vertex.
+
+    The lowest-rank live cell becomes critical and its cofaces are queued.
+    A queued cell with exactly one live face is paired with that face, and
+    the cofaces of both are queued; one with no live face waits, its
+    cofaces queued, so that it can still be paired as a face.  When a pair
+    forms, every other face of its coface is dead, so a gradient path
+    strictly decreases in pairing order: the matching is acyclic.  The
+    Morse boundary of a critical cell is its boundary with each face that
+    is paired upward cleared by the boundary of its partner, latest pair
+    first, which uses each pair at most once; what stays on critical cells
+    is its column.  ValueError names the first cell whose boundary does not
+    square to zero, or a matched incidence other than +1 or -1: no
+    Morse complex has the same homology then."""
+    s = cc.complex
+    n = len(s)
+    faces, cofaces, rows = s._face_ix, s._coface_ix, cc._rows
+    order = sorted(cells)  # by rank, as cells are numbered
+    inside = bytearray(n + 1)
+    for i in order:
+        inside[i] = 1
+    # a cell of rank 2 or more, or 1 with the empty cell, has faces with faces
+    squared = order[bisect_left(order, bisect_left(s._ranks, 1 if augmented else 2)):]
+    if augmented:  # the empty cell, index n, is the one face of every vertex
+        n0 = len(s._rank_range(0))
+        faces = ((n,),) * n0 + faces[n0:] + ((),)
+        rows = [(e,) for e in cc._vertex_signs] + rows[n0:] + [()]
+        cofaces = cofaces + (tuple(range(n0)),)
+        inside[n] = 1
+        order.insert(0, n)
+    for x in squared:
+        acc: dict = {}
+        for y, a in zip(faces[x], rows[x]):
+            if inside[y]:
+                for z, b in zip(faces[y], rows[y]):
+                    if inside[z]:
+                        acc[z] = acc.get(z, 0) + a * b
+        if any(acc.values()):
+            raise ValueError(f"the boundary of cell {s.cells[x]} does not square to zero")
+
+    live = bytearray(inside)  # 1 live, 2 live and waiting with its cofaces queued, 0 dead
+    paired = {}  # the pairing order of each cell matched with a coface
+    pairs, critical = [], []
+    queue = deque()
+    pop, push = queue.popleft, queue.extend
+    for c in order:
+        if not live[c]:
+            continue
+        live[c] = 0
+        critical.append(c)
+        push(cofaces[c])
+        while queue:
+            q = pop()
+            if live[q] != 1:
+                continue
+            fq = faces[q]
+            free = [y for y in fq if live[y]]
+            if not free:
+                live[q] = 2
+                push(cofaces[q])
+            elif len(free) == 1:
+                y = free[0]
+                e = rows[q][fq.index(y)]
+                if e != 1 and e != -1:
+                    raise ValueError(f"cell {s.cells[q]} meets its face "
+                                     f"{s.cells[y]} with the coefficient {e}")
+                live[y] = live[q] = 0
+                paired[y] = len(pairs)
+                pairs.append((y, q, e))
+                push(cofaces[y])
+                push(cofaces[q])
+
+    by_rank = [[] for _ in range(cc.dim + 2)]
+    for c in critical:  # found in rank order, so each list ascends
+        by_rank[s._ranks[c] if c < n else -1].append(c)
+    at = {c: j for r in by_rank for j, c in enumerate(r)}
+    mats = []
+    for r in range(cc.dim + 1):
+        cols = []
+        for c in by_rank[r]:
+            acc, heap = {}, []
+            for y, a in zip(faces[c], rows[c]):
+                if inside[y]:
+                    acc[y] = a
+                    if y in paired:
+                        heappush(heap, -paired[y])
+            while heap:
+                y, p, e = pairs[-heappop(heap)]
+                f = -acc[y] * e
+                if f:
+                    for z, b in zip(faces[p], rows[p]):
+                        if z in acc:
+                            acc[z] += f * b
+                        elif inside[z]:
+                            acc[z] = f * b
+                            if z in paired:
+                                heappush(heap, -paired[z])
+            cols.append({at[z]: v for z, v in acc.items() if v and z in at})
+        mats.append(SparseMatrix(len(by_rank[r - 1]), cols))
+    return _MorseComplex(by_rank, pairs, mats)
+
+
+def _groups(m: _MorseComplex, torsion_from: int) -> HomologyResult:
+    """Groups of the Morse complex ..-> C_i -> C_{i-1} -> .. in degrees 0
+    to dim, where D_i is ``m.boundaries[i]``: rank n_i - r_i - r_{i+1} plus
+    the non-unit invariant factors of D_{i + torsion_from}, which is
+    D_{i+1} for homology and D_i for cohomology."""
+    sizes = list(map(len, m.critical[:-1]))
+    factors = [invariant_factors(d) if all(d.shape) else [] for d in m.boundaries] + [[]]
     betti = tuple(n - len(factors[i]) - len(factors[i + 1]) for i, n in enumerate(sizes))
     torsion = tuple(tuple(d for d in factors[i + torsion_from] if d > 1)
                     for i in range(len(sizes)))
@@ -222,9 +359,8 @@ def _groups(sizes, mats, torsion_from: int) -> HomologyResult:
 
 def homology_of(cc: ChainComplex) -> HomologyResult:
     """For an augmented complex this is the reduced homology: the
-    degree-zero map already quotients by the empty cell."""
-    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
-    return _groups([len(b) for b in cc.bases], mats, 1)
+    empty cell is a cell of rank -1 in the reduction."""
+    return _groups(_morse(cc, range(len(cc.complex)), cc.augmented), 1)
 
 
 def homology(s: Ccc, signs: SignTable, reduced: bool = False) -> HomologyResult:
@@ -233,12 +369,10 @@ def homology(s: Ccc, signs: SignTable, reduced: bool = False) -> HomologyResult:
 
 
 def cohomology_of(cc: ChainComplex) -> HomologyResult:
-    """Cohomology from the boundaries homology reads: the coboundary out of
-    degree i is the transpose of D_{i+1}, with the same invariant factors.
-    The augmentation is ignored."""
-    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
-    mats[0] = SparseMatrix(0, [])
-    return _groups([len(b) for b in cc.bases], mats, 0)
+    """Cohomology of the Morse complex homology reads: the coboundary out
+    of degree i is the transpose of D_{i+1}, with the same invariant
+    factors.  The augmentation is ignored."""
+    return _groups(_morse(cc, range(len(cc.complex))), 0)
 
 
 def cohomology(s: Ccc, signs: SignTable) -> HomologyResult:
@@ -249,8 +383,8 @@ def relative_homology(s: Ccc, t: Iterable[CellId], signs: SignTable) -> Homology
     """Homology of the quotient by a closed subcomplex.
 
     The quotient in each degree is free on the cells outside ``t``, with
-    the boundary matrix restricted to those rows and columns.  A cell of
-    ``t`` not in ``s`` raises UnknownCellError, from the closure of ``t``.
+    the boundary restricted to them.  A cell of ``t`` not in ``s`` raises
+    UnknownCellError, from the closure of ``t``.
     """
     tset = set(t)
     if s.closure(tset) != tset:
@@ -259,20 +393,10 @@ def relative_homology(s: Ccc, t: Iterable[CellId], signs: SignTable) -> Homology
 
 
 def _homology_of_cells(cc: ChainComplex, cells) -> HomologyResult:
-    """Homology of the boundary matrices restricted to the rows and
-    columns of ``cells``: of the quotient by the other cells when those
-    are closed, of the subcomplex on ``cells`` when it is closed."""
-    s = cc.complex
-    keep = [[] for _ in range(cc.dim + 1)]  # per rank, the indices kept, ascending
-    for i in sorted(map(s._i, cells)):
-        keep[s._ranks[i]].append(i)
-    at = {i: n for k in keep for n, i in enumerate(k)}  # index -> its row or column
-    faces, rows = s._face_ix, cc._rows
-    mats = [SparseMatrix(0, [{} for _ in keep[0]])]
-    mats += [SparseMatrix(len(keep[r - 1]), [
-        {at[y]: v for y, v in zip(faces[x], rows[x]) if y in at} for x in keep[r]])
-        for r in range(1, cc.dim + 1)]
-    return _groups([len(k) for k in keep], mats, 1)
+    """Homology of the boundary restricted to ``cells``: of the quotient
+    by the other cells when those are closed, of the subcomplex on
+    ``cells`` when it is closed."""
+    return _groups(_morse(cc, map(cc.complex._i, cells)), 1)
 
 
 def is_acyclic(s: Ccc, signs: SignTable) -> bool:

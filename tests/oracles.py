@@ -38,7 +38,13 @@ bitsets, as the library kept its order before it stored only covers; the
 flags of a complex are listed top cell by top cell; homology
 generators are paired as label chains, cell by cell; and the random
 Stokes trials are counted in a loop of their own, each integral summed
-inline.
+inline; homology is read off the ranks and invariant factors of every
+full boundary matrix, as the library computed it before it coreduced
+to a Morse complex, and each matching the coreduction makes is checked
+as a certificate through the labels and the sign table: its incidences,
+a depth-first search for a cycle of the modified Hasse diagram, the
+Morse inequalities, the Euler characteristic, and the Morse boundary
+summed over gradient paths in the search's finishing order.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ from cellcomplexes.errors import (CccError, CoverCycleError, DuplicateCellError,
                                   UnknownCellError)
 from cellcomplexes.fileformat import covering_pairs
 from cellcomplexes.flags import Orientation, SignTable, all_flags, flags_of
-from cellcomplexes.snf import (SmithNormalForm, invariant_factors, kernel_basis, matmul,
-                               smith_normal_form, solve_columns)
+from cellcomplexes.snf import (SmithNormalForm, SparseMatrix, invariant_factors, kernel_basis,
+                               matmul, smith_normal_form, solve_columns)
 from cellcomplexes.subdivision import chain_of_cell
 
 
@@ -779,13 +785,14 @@ def dense_compose(first, second) -> list:
 def dense_boundary_matrices(s, signs, augmented=False) -> list:
     """Per-degree int64 boundary matrices filled entry by entry:
     ``mats[r]`` maps rank ``r`` to rank ``r - 1`` (rows in
-    ``cells_of_rank`` order); with ``augmented`` degree zero has one row
-    of ones, for the empty cell."""
+    ``cells_of_rank`` order); with ``augmented`` degree zero has one row,
+    for the empty cell, holding the sign of each vertex."""
     bases = [list(s.cells_of_rank(r)) for r in range(s.dim + 1)]
     mats = []
     for r, basis in enumerate(bases):
         if r == 0:
-            mats.append(np.ones((1 if augmented else 0, len(basis)), dtype=np.int64))
+            mats.append(np.array([[signs.vertex_signs[v] for v in basis]] if augmented else
+                                 np.zeros((0, len(basis))), dtype=np.int64))
             continue
         index = {c: i for i, c in enumerate(bases[r - 1])}
         m = np.zeros((len(index), len(basis)), dtype=np.int64)
@@ -799,10 +806,7 @@ def dense_boundary_matrices(s, signs, augmented=False) -> list:
 def dense_homology(sizes, mats) -> HomologyResult:
     """Groups of the complex whose degree-``i`` map is ``mats[i]``, from
     the invariant factors of the dense matrices."""
-    factors = [invariant_factors(m) if m.size else [] for m in mats] + [[]]
-    betti = tuple(n - len(factors[i]) - len(factors[i + 1]) for i, n in enumerate(sizes))
-    torsion = tuple(tuple(d for d in factors[i + 1] if d > 1) for i in range(len(sizes)))
-    return HomologyResult(betti, torsion)
+    return rank_groups(sizes, mats, 1)
 
 
 def dense_cohomology(sizes, mats) -> HomologyResult:
@@ -815,13 +819,156 @@ def dense_cohomology(sizes, mats) -> HomologyResult:
     return HomologyResult(h.betti[::-1], h.torsion[::-1])
 
 
-def dense_homology_of_cells(s, mats, cells) -> HomologyResult:
-    """Homology of the matrices sliced to the rows and columns of ``cells``."""
+def dense_slice(s, mats, cells) -> tuple:
+    """The sizes and the matrices sliced to the rows and columns of
+    ``cells``; degree zero maps to nothing."""
     keep = [[i for i, c in enumerate(s.cells_of_rank(r)) if c in cells]
             for r in range(s.dim + 1)]
     sliced = [np.zeros((0, len(keep[0])), dtype=np.int64)]
     sliced += [mats[r][np.ix_(keep[r - 1], keep[r])] for r in range(1, s.dim + 1)]
-    return dense_homology([len(k) for k in keep], sliced)
+    return [len(k) for k in keep], sliced
+
+
+def squares_to_zero(mats) -> bool:
+    """Whether each of ``mats`` composed with the one before it is zero."""
+    return not any((a @ b).any() for a, b in zip(mats, mats[1:]))
+
+
+# -- homology by ranks, and the Morse matching as a certificate -------------------
+
+
+def rank_groups(sizes, mats, torsion_from: int) -> HomologyResult:
+    """Groups of ..-> C_i -> C_{i-1} -> .. where mats[i] is D_i: rank
+    n_i - r_i - r_{i+1} plus the non-unit invariant factors of
+    D_{i + torsion_from}, which is D_{i+1} for homology and D_i for
+    cohomology."""
+    factors = [invariant_factors(m) if all(m.shape) else [] for m in mats] + [[]]
+    betti = tuple(n - len(factors[i]) - len(factors[i + 1]) for i, n in enumerate(sizes))
+    torsion = tuple(tuple(d for d in factors[i + torsion_from] if d > 1)
+                    for i in range(len(sizes)))
+    return HomologyResult(betti, torsion)
+
+
+def rank_homology(cc) -> HomologyResult:
+    """Homology from every full boundary matrix; reduced homology on an
+    augmented complex, whose degree-zero map is the augmentation."""
+    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
+    return rank_groups([len(b) for b in cc.bases], mats, 1)
+
+
+def rank_cohomology(cc) -> HomologyResult:
+    """Cohomology from the same matrices: the coboundary out of degree i is
+    the transpose of D_{i+1}.  The augmentation is ignored."""
+    mats = [cc.sparse_boundary(i) for i in range(cc.dim + 1)]
+    mats[0] = SparseMatrix(0, [])
+    return rank_groups([len(b) for b in cc.bases], mats, 0)
+
+
+def rank_homology_of_cells(cc, cells) -> HomologyResult:
+    """Homology of the boundary matrices restricted to the rows and
+    columns of the labels ``cells``."""
+    keep = [[i for i, c in enumerate(basis) if c in cells] for basis in cc.bases]
+    mats = [SparseMatrix(0, [{} for _ in keep[0]])]
+    for r in range(1, cc.dim + 1):
+        cols = cc.sparse_boundary(r).column_entries()
+        at = {i: n for n, i in enumerate(keep[r - 1])}
+        mats.append(SparseMatrix(len(at), [{at[y]: v for y, v in cols[x].items() if y in at}
+                                           for x in keep[r]]))
+    return rank_groups([len(k) for k in keep], mats, 1)
+
+
+def check_morse_certificate(cc, cells, augmented: bool, morse, result: HomologyResult) -> None:
+    """Assert that ``morse``, what ``chains._morse(cc, cells, augmented)``
+    returned, certifies ``result``: its critical cells and matched pairs
+    partition ``cells`` (and the empty cell, index ``len(complex)``, when
+    ``augmented``), each pair a face and a coface meeting with the sign it
+    records, +1 or -1 in the table; the Hasse diagram with each matched
+    edge reversed has no cycle; the critical count c_i of each degree is at least
+    b_i + t_i + t_(i-1), t counting torsion factors; their alternating sum
+    is the Euler characteristic of the cells; and the Morse boundary
+    squares to zero and sums the gradient paths, read in the search's
+    finishing order."""
+    s = cc.complex
+    empty = len(s)
+    members = set(cells) | ({empty} if augmented else set())
+
+    def rank(i):
+        return -1 if i == empty else s.rank(s.cells[i])
+
+    def faces(i):  # the faces among the members, by index
+        if i == empty:
+            return []
+        if augmented and rank(i) == 0:
+            return [empty]
+        return [j for j in map(s._i, s.faces(s.cells[i])) if j in members]
+
+    degrees = range(-1, len(morse.critical) - 1)  # critical[-1] is degree -1
+    for r in degrees:
+        assert all(rank(c) == r for c in morse.critical[r]), f"degree {r}"
+    seen = [c for r in degrees for c in morse.critical[r]]
+    def sign(x, y):  # s(x, y) in the table; a vertex's own sign over the empty cell
+        if y == empty:
+            return cc.signs.vertex_signs[s.cells[x]]
+        return cc.signs.s(s.cells[x], s.cells[y])
+
+    up = {}
+    for y, p, e in morse.pairs:
+        assert y in faces(p), f"pair {y, p} is not a face and a coface among the cells"
+        assert e == sign(p, y) in (1, -1), f"pair {y, p} meets with the coefficient {e}"
+        up[y] = p
+        seen += [y, p]
+    assert sorted(seen) == sorted(members), "the matching does not partition the cells"
+
+    # depth-first search of x -> each face, except y -> p for a pair (y, p)
+    def heads(x):
+        return [y for y in faces(x) if up.get(y) != x] + ([up[x]] if x in up else [])
+
+    state = dict.fromkeys(members, 0)  # 0 unseen, 1 on the path, 2 done
+    done = []  # each cell after every cell it reaches
+    for root in members:
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [(root, iter(heads(root)))]
+        while path:
+            x, it = path[-1]
+            y = next(it, None)
+            if y is None:
+                state[x] = 2
+                done.append(x)
+                path.pop()
+            elif state[y] == 1:
+                raise AssertionError(f"the matching closes a cycle through cell {y}")
+            elif not state[y]:
+                state[y] = 1
+                path.append((y, iter(heads(y))))
+
+    torsion = [len(t) for t in result.torsion] + [0]  # [-1] is degree -1
+    for i, b in enumerate(result.betti):
+        assert len(morse.critical[i]) >= b + torsion[i] + torsion[i - 1], f"degree {i}"
+    chi = sum((-1) ** (rank(x) % 2) for x in members)
+    assert sum((-1) ** (r % 2) * len(morse.critical[r]) for r in degrees) == chi
+    assert squares_to_zero([np.asarray(m) for m in morse.boundaries]), "the Morse boundary"
+
+    # the Morse boundary sums the gradient paths: a face y paired with p
+    # flows to -s(p, y) s(p, z) times the flow of each other face z of p
+    critical = {c for r in degrees for c in morse.critical[r]}
+    flow = {}
+    for x in done:
+        flow[x] = {x: 1} if x in critical else {}
+        if x in up:
+            p = up[x]
+            for z in faces(p):
+                for c, v in flow[z].items() if z != x else ():
+                    flow[x][c] = flow[x].get(c, 0) - sign(p, x) * sign(p, z) * v
+    for r in range(len(result.betti)):
+        at = {c: j for j, c in enumerate(morse.critical[r - 1])}
+        for c, col in zip(morse.critical[r], morse.boundaries[r].column_entries()):
+            want = {}
+            for y in faces(c):
+                for d, v in flow[y].items():
+                    want[at[d]] = want.get(at[d], 0) + sign(c, y) * v
+            assert col == {j: v for j, v in want.items() if v}, f"the Morse boundary of {c}"
 
 
 # -- the order as bitsets --------------------------------------------------------
